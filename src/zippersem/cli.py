@@ -14,7 +14,7 @@ from . import formats
 from .ast import ParseError, is_valid_name, parse_program, parse_value_literal
 from .ast import print_program
 from .automaton import (check_simulation, edges_closed, is_regular,
-                        nodes_closed, program_automaton, step_image_closed)
+                        nodes_closed, program_automaton)
 from .semantics import STEP_LIMIT, STUCK, TERMINATED, run_trace
 from .tauclose import check_tau_simulation, close_automaton
 
@@ -48,6 +48,8 @@ def _parse_state(text):
         name = name.strip()
         if not eq or not is_valid_name(name):
             raise ValueError(f"bad state entry {part!r}, expected name=literal")
+        if name in state:
+            raise ValueError(f"state binds {name!r} more than once")
         state[name] = parse_value_literal(lit.strip())
     return state
 
@@ -112,6 +114,10 @@ def cmd_tauclose(args):
         print("warning: input automaton is not regular "
               "(initial node or an edge endpoint is outside the node list)",
               file=sys.stderr)
+        if base.init not in base.nodes:
+            # output node ids are positions in the node list
+            raise ValueError("the closed automaton has no node id for an "
+                             "initial node outside the node list")
     closed = close_automaton(base)
     if args.format == "dot":
         text = formats.automaton_dot(closed, formats.closed_labels(base, closed))
@@ -136,9 +142,11 @@ def cmd_check(args):
         return EXIT_OK
     if args.kind == "closure":
         aut = program_automaton(_read_program(args.file))
-        checks = [("nodes closed", nodes_closed(aut)),
-                  ("edges closed", edges_closed(aut)),
-                  ("step image closed", step_image_closed(aut))]
+        nodes_ok = nodes_closed(aut)
+        edges_ok = edges_closed(aut)
+        checks = [("nodes closed", nodes_ok),
+                  ("edges closed", edges_ok),
+                  ("step image closed", nodes_ok and edges_ok)]
         for name, value in checks:
             print(f"{name}: {'ok' if value else 'FAIL'}")
         return EXIT_OK if all(v for _, v in checks) else EXIT_VIOLATION
@@ -230,6 +238,8 @@ def main(argv=None) -> int:
     if getattr(args, "automaton", None) and args.command == "check" \
             and args.kind in ("sim", "closure"):
         parser.error("check sim/closure work on programs, not --automaton")
+    if getattr(args, "max_steps", 0) < 0:
+        parser.error("--max-steps must not be negative")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -32,7 +32,7 @@ def action_from_json(obj):
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "none":
         return SILENT
-    if kind == "assign":
+    if kind == "assign" and isinstance(obj.get("var"), str):
         return AssignAction(obj["var"], parse_value_literal(obj["val"]))
     raise ValueError(f"bad action: {obj!r}")
 
@@ -87,6 +87,16 @@ def generic_automaton_json(aut: Automaton) -> dict:
     return {"nodes": nodes, "edges": edges, "init": ids[aut.init]}
 
 
+def _node_id(value, what):
+    """A node id from JSON; ids are compared and hashed, so lists and
+    objects are refused."""
+    try:
+        hash(value)
+    except TypeError:
+        raise ValueError(f"{what} is not a valid node id: {value!r}") from None
+    return value
+
+
 def load_automaton(data: dict) -> Automaton:
     """Automaton from the generic JSON shape.
 
@@ -106,17 +116,18 @@ def load_automaton(data: dict) -> Automaton:
         if isinstance(item, dict):
             if "id" not in item:
                 raise ValueError(f"node object without id: {item!r}")
-            nodes.append(item["id"])
+            nodes.append(_node_id(item["id"], "node"))
         else:
-            nodes.append(item)
+            nodes.append(_node_id(item, "node"))
     edges = []
     for item in raw_edges:
         try:
-            edges.append(Edge(item["source"], action_from_json(item["action"]),
-                              item["dest"]))
+            edges.append(Edge(_node_id(item["source"], "edge source"),
+                              action_from_json(item["action"]),
+                              _node_id(item["dest"], "edge destination")))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad edge: {item!r}") from exc
-    return Automaton(tuple(nodes), tuple(edges), data["init"])
+    return Automaton(tuple(nodes), tuple(edges), _node_id(data["init"], "init"))
 
 
 @dataclass

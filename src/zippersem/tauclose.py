@@ -10,9 +10,16 @@ by check_tau_simulation.
 
 Three routes to the closure sets coexist on purpose: tau_closure iterates
 the monotone closure_step until it reaches its fixpoint, closure_bfs is an
-independent breadth-first oracle, and the bulk pass behind closed_nodes and
-closed_edges runs a worklist on integer-indexed nodes.  Tests pin their
-agreement.
+independent breadth-first oracle, and close_automaton makes one ranked
+pass.  That pass sorts the distinct nodes by node_key once, runs a
+worklist on their ranks, builds one NodeSet per distinct closure straight
+from its sorted ranks, and orders the closed edges by rank tuples, so no
+sort key is computed per edge.  Tests pin the agreement of the routes.
+
+The closed automaton is kept on the automaton it was computed from, and
+a second close_automaton call returns it as it is.  So when
+check_tau_simulation closes its input to verify mc, it reuses the closure
+the caller already made, and `zippersem check tausim` closes once.
 """
 
 from dataclasses import dataclass
@@ -23,12 +30,24 @@ from .zipper import Cursor, render_cursor, render_path
 
 
 def node_key(n):
-    """Canonical sort key: ints numerically, cursors by (path, flag)."""
+    """Canonical sort key: numbers numerically, then strings, then cursors
+    by (path, flag), then node sets by their members, then null, then any
+    other value by its own order.
+
+    The leading tag keeps the order total over mixed node types, such as
+    the int and string ids a JSON automaton may use side by side.
+    """
     if isinstance(n, Cursor):
-        return (render_path(n.loc.path), n.entering)
+        return (2, render_path(n.loc.path), n.entering)
     if isinstance(n, NodeSet):
-        return n.sort_key()
-    return n
+        return (3, n.sort_key())
+    if isinstance(n, str):
+        return (1, n)
+    if isinstance(n, (int, float)):
+        return (0, n)
+    if n is None:
+        return (4,)
+    return (5, n)
 
 
 @cached_hash
@@ -115,59 +134,44 @@ def closure_bfs(aut: Automaton, seed) -> NodeSet:
 
 
 def _closure_table(aut: Automaton):
-    """Silent reachability for every distinct node, on integer indices.
+    """Silent reachability for every distinct node, in one ranked pass.
 
-    Returns (index of first occurrence per node, distinct nodes in index
-    order, closure of each distinct node as a frozenset of indices).
+    The distinct nodes are sorted by node_key once; a node's rank is its
+    position in that order.  Returns (rank per node, nodes in rank order,
+    closure of each rank as a sorted tuple of ranks).  Comparing closures
+    as rank tuples orders them as comparing their sort keys would.
     """
-    index = {}
-    for n in aut.nodes:
-        if n not in index:
-            index[n] = len(index)
-    distinct = list(index)
-    succ = [[] for _ in distinct]
+    ranked = sorted(dict.fromkeys(aut.nodes), key=node_key)
+    rank = {n: r for r, n in enumerate(ranked)}
+    succ = [[] for _ in ranked]
     for e in aut.edges:
         if e.action == SILENT:
-            si = index.get(e.source)
-            di = index.get(e.dest)
+            si = rank.get(e.source)
+            di = rank.get(e.dest)
             if si is not None and di is not None:
                 succ[si].append(di)
     closures = []
-    for i in range(len(distinct)):
-        seen = {i}
-        stack = [i]
+    for r in range(len(ranked)):
+        seen = {r}
+        stack = [r]
         while stack:
             j = stack.pop()
             for k in succ[j]:
                 if k not in seen:
                     seen.add(k)
                     stack.append(k)
-        closures.append(frozenset(seen))
-    return index, distinct, closures
+        closures.append(tuple(sorted(seen)))
+    return rank, ranked, closures
 
 
 def closed_nodes(aut: Automaton) -> list:
     """Closure of every node, in node-list order."""
-    index, distinct, closures = _closure_table(aut)
-    cache = {}
-    out = []
-    for n in aut.nodes:
-        ci = index[n]
-        ns = cache.get(ci)
-        if ns is None:
-            ns = NodeSet.from_iter(distinct[j] for j in closures[ci])
-            cache[ci] = ns
-        out.append(ns)
-    return out
+    return list(close_automaton(aut).nodes)
 
 
 def closed_init(aut: Automaton) -> NodeSet:
     """Closure of the initial node (which may sit outside the node list)."""
-    index, distinct, closures = _closure_table(aut)
-    ci = index.get(aut.init)
-    if ci is None:
-        return tau_closure(aut, aut.init)
-    return NodeSet.from_iter(distinct[j] for j in closures[ci])
+    return close_automaton(aut).init
 
 
 def edge_actions(aut: Automaton) -> list:
@@ -188,41 +192,47 @@ def closed_edges(aut: Automaton) -> list:
     skipped, they cannot be witnessed (sources because closures only hold
     nodes, destinations because their closure contains a non-node).
     """
-    index, distinct, closures = _closure_table(aut)
-    ns_out = [[] for _ in distinct]
-    for e in aut.edges:
-        if e.action == SILENT:
-            continue
-        si = index.get(e.source)
-        di = index.get(e.dest)
-        if si is None or di is None:
-            continue
-        ns_out[si].append((e.action, di))
-    found = set()
-    for ci in range(len(distinct)):
-        src = closures[ci]
-        for m in src:
-            for a, di in ns_out[m]:
-                found.add((src, a, closures[di]))
-    cache = {}
-
-    def to_node_set(fs):
-        ns = cache.get(fs)
-        if ns is None:
-            ns = NodeSet.from_iter(distinct[j] for j in fs)
-            cache[fs] = ns
-        return ns
-
-    edges = [Edge(to_node_set(src), a, to_node_set(dst)) for src, a, dst in found]
-    edges.sort(key=lambda e: (e.source.sort_key(), action_key(e.action),
-                              e.dest.sort_key()))
-    return edges
+    return list(close_automaton(aut).edges)
 
 
 def close_automaton(aut: Automaton) -> Automaton:
-    """The silent-free automaton over closures."""
-    return Automaton(tuple(closed_nodes(aut)), tuple(closed_edges(aut)),
-                     closed_init(aut))
+    """The silent-free automaton over closures.
+
+    Computed once per automaton: the result is kept on `aut` and returned
+    again by later calls.
+    """
+    try:
+        return aut._closed
+    except AttributeError:
+        pass
+    rank, ranked, closures = _closure_table(aut)
+    sets = {}
+    for cl in closures:
+        if cl not in sets:
+            sets[cl] = NodeSet(tuple(ranked[j] for j in cl))
+    nodes = tuple(sets[closures[rank[n]]] for n in aut.nodes)
+
+    ns_out = [[] for _ in ranked]
+    for e in aut.edges:
+        if e.action == SILENT:
+            continue
+        si = rank.get(e.source)
+        di = rank.get(e.dest)
+        if si is not None and di is not None:
+            ns_out[si].append((e.action, closures[di]))
+    found = set()
+    for src in sets:
+        for m in src:
+            for a, dst in ns_out[m]:
+                found.add((src, a, dst))
+    edges = tuple(Edge(sets[src], a, sets[dst]) for src, a, dst in
+                  sorted(found, key=lambda t: (t[0], action_key(t[1]), t[2])))
+
+    ri = rank.get(aut.init)
+    init = tau_closure(aut, aut.init) if ri is None else sets[closures[ri]]
+    closed = Automaton(nodes, edges, init)
+    object.__setattr__(aut, "_closed", closed)
+    return closed
 
 
 @dataclass
@@ -245,8 +255,9 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     destination node.
     """
     expected = close_automaton(m)
-    if not (mc.nodes == expected.nodes and mc.edges == expected.edges
-            and mc.init == expected.init):
+    if mc is not expected and not (mc.nodes == expected.nodes
+                                   and mc.edges == expected.edges
+                                   and mc.init == expected.init):
         return TauSimReport(0, False, (None, None, None,
                                        "second automaton is not the closure of the first"))
     m_nodes = set(m.nodes)

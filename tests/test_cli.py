@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from zippersem import automaton, cli, tauclose
 from zippersem.cli import main
 
 LOOP_SRC = "while (true) { x := true; y := false }\n"
@@ -213,3 +214,115 @@ def test_check_tausim_violation_exits_5(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out and "unmatched edge" in captured.out
     assert "not regular" in captured.err
+
+
+def test_run_and_check_sim_reject_a_negative_step_limit(tmp_path, capsys):
+    f = write(tmp_path, "p.imp", "skip")
+    for argv in (["run", f, "--max-steps", "-5"],
+                 ["check", "sim", f, "--max-steps", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--max-steps must not be negative" in capsys.readouterr().err
+
+
+def test_state_binding_a_name_twice_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "p.imp", "skip")
+    assert main(["run", f, "--state", "x=true,x=false"]) == 2
+    assert main(["check", "sim", f, "--state", "x=true, x=true"]) == 2
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_automaton_with_unhashable_ids_exits_2(tmp_path, capsys):
+    silent = {"kind": "none"}
+    bad_inputs = [
+        {"nodes": [[1]], "edges": [], "init": 0},
+        {"nodes": [{"id": [1]}], "edges": [], "init": 0},
+        {"nodes": [1], "edges": [{"source": [1], "action": silent, "dest": 1}],
+         "init": 1},
+        {"nodes": [1], "edges": [{"source": 1, "action": silent, "dest": {}}],
+         "init": 1},
+        {"nodes": [1], "edges": [], "init": [1]},
+        {"nodes": [1], "edges": [{"source": 1, "dest": 1, "action":
+                                  {"kind": "assign", "var": [1], "val": "true"}}],
+         "init": 1},
+    ]
+    for data in bad_inputs:
+        f = write(tmp_path, "bad.json", json.dumps(data))
+        for argv in (["tauclose", "--automaton", f],
+                     ["check", "tausim", "--automaton", f],
+                     ["check", "regular", "--automaton", f]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_automaton_with_mixed_int_and_string_ids_closes(tmp_path, capsys):
+    assign = {"kind": "assign", "var": "x", "val": "true"}
+    one_edge = write(tmp_path, "one.json", json.dumps(
+        {"nodes": [0, "a"], "edges": [{"source": 0, "action": assign, "dest": "a"}],
+         "init": 0}))
+    assert main(["tauclose", "--automaton", one_edge]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [n["members"] for n in data["nodes"]] == [[0], [1]]
+    silent = write(tmp_path, "silent.json", json.dumps(
+        {"nodes": ["a", 0, None, 2.5],
+         "edges": [{"source": "a", "action": {"kind": "none"}, "dest": 0},
+                   {"source": 0, "action": {"kind": "none"}, "dest": None},
+                   {"source": "a", "action": assign, "dest": 2.5},
+                   {"source": 2.5, "action": assign, "dest": "a"}],
+         "init": "a"}))
+    assert main(["tauclose", "--automaton", silent]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [n["members"] for n in data["nodes"]] == [[0, 1, 2], [1, 2], [2], [3]]
+    # numbers rank before strings before null: {0, "a", null} < {2.5}
+    assert [(e["source"], e["dest"]) for e in data["edges"]] == [(0, 3), (3, 0)]
+    assert main(["check", "tausim", "--automaton", silent]) == 0
+    assert main(["tauclose", "--automaton", silent, "--format", "dot"]) == 0
+
+
+def test_tauclose_with_init_outside_the_node_list_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "foreign.json", json.dumps(
+        {"nodes": [1, 2],
+         "edges": [{"source": 1, "action": {"kind": "none"}, "dest": 2}],
+         "init": 7}))
+    for fmt in ("json", "dot"):
+        assert main(["tauclose", "--automaton", f, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not regular" in captured.err
+        assert "error: " in captured.err
+
+
+def test_check_tausim_closes_the_automaton_once(tmp_path, capsys, monkeypatch,
+                                                fixtures_dir):
+    calls = []
+    original = tauclose._closure_table
+
+    def counted(aut):
+        calls.append(aut)
+        return original(aut)
+
+    monkeypatch.setattr(tauclose, "_closure_table", counted)
+    f = write(tmp_path, "loop.imp", LOOP_SRC)
+    assert main(["check", "tausim", f]) == 0
+    assert len(calls) == 1
+    assert main(["check", "tausim", "--automaton",
+                 str(fixtures_dir / "silent_fork.json")]) == 0
+    assert len(calls) == 2
+
+
+def test_check_closure_runs_each_predicate_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("nodes_closed", "edges_closed"):
+        original = getattr(automaton, name)
+
+        def counted(aut, name=name, original=original):
+            calls.append(name)
+            return original(aut)
+
+        # both bindings, so a call through step_image_closed counts too
+        monkeypatch.setattr(automaton, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    f = write(tmp_path, "loop.imp", LOOP_SRC)
+    assert main(["check", "closure", f]) == 0
+    assert sorted(calls) == ["edges_closed", "nodes_closed"]

@@ -6,7 +6,7 @@ from randgen import random_automaton, random_program
 from zippersem.ast import TRUE, parse_program
 from zippersem.automaton import (SILENT, AssignAction, Automaton, Edge,
                                  is_regular, program_automaton)
-from zippersem.tauclose import (NodeSet, check_tau_simulation,
+from zippersem.tauclose import (NodeSet, action_key, check_tau_simulation,
                                 close_automaton, closed_edges, closed_init,
                                 closed_nodes, closure_bfs, closure_step,
                                 edge_actions, node_key, tau_closure)
@@ -186,6 +186,15 @@ def test_tau_simulation_rejects_a_tampered_closure(silent_fork):
     assert "not the closure" in report.violation[3]
 
 
+def test_tau_simulation_verifies_a_copy_of_the_closure(silent_fork):
+    mc = close_automaton(silent_fork)
+    copy = Automaton(mc.nodes, mc.edges, mc.init)
+    assert copy is not mc
+    assert check_tau_simulation(silent_fork, copy).ok
+    fresh = Automaton(silent_fork.nodes, silent_fork.edges, silent_fork.init)
+    assert check_tau_simulation(fresh, copy).ok
+
+
 def test_tau_simulation_fails_on_a_dangling_silent_edge():
     # the closure cannot absorb a silent edge that leaves the node list,
     # so membership is not a simulation witness there
@@ -210,3 +219,30 @@ def test_tau_simulation_on_compiled_programs():
     for _ in range(60):
         aut = program_automaton(random_program(rng))
         assert check_tau_simulation(aut, close_automaton(aut)).ok
+
+
+def _with_string_ids(m):
+    # "n10" sorts before "n2", so string ids rank apart from their ints
+    name = {n: f"n{n}" for n in m.nodes}
+    return Automaton(tuple(name[n] for n in m.nodes),
+                     tuple(Edge(name[e.source], e.action, name[e.dest])
+                           for e in m.edges),
+                     name[m.init])
+
+
+def test_ranked_pass_keeps_the_canonical_orders():
+    # members in NodeSet.from_iter order, edges sorted by member sort keys
+    rng = random.Random(27)
+    automata = []
+    for _ in range(100):
+        m = random_automaton(rng, max_nodes=14)
+        automata += [m, _with_string_ids(m)]
+    automata += [program_automaton(random_program(rng)) for _ in range(60)]
+    for m in automata:
+        closed = close_automaton(m)
+        for ns in closed.nodes:
+            assert ns.members == NodeSet.from_iter(ns.members).members
+        assert list(closed.edges) == sorted(
+            closed.edges, key=lambda e: (e.source.sort_key(), action_key(e.action),
+                                         e.dest.sort_key()))
+        assert closed_init(m) == closed.init
