@@ -11,13 +11,9 @@ from .zipper import (TOP, CondElse, CondThen, Cursor, Location, Path, SeqLeft,
 from .semantics import (STEP_LIMIT, STUCK, TERMINATED, Config, Trace,
                         eval_expr, is_terminal, run_trace, sem_step)
 from .automaton import (SILENT, Action, AssignAction, Automaton, Edge, Silent,
-                        SimulationReport, action_effect, action_of, aut_step,
-                        check_simulation, edges_closed, edges_of,
-                        edges_of_nodes, is_regular, nodes_closed,
-                        program_automaton, step_image, step_image_closed)
-from .tauclose import (NodeSet, TauSimReport, check_tau_simulation,
-                       close_automaton, closed_edges, closed_init,
-                       closed_nodes, closure_bfs, closure_step, edge_actions,
-                       tau_closure)
+                        SimulationReport, action_effect, action_of,
+                        check_simulation, edges_closed, edges_of, is_regular,
+                        nodes_closed, program_automaton, step_image)
+from .tauclose import NodeSet, TauSimReport, check_tau_simulation, close_automaton
 
 __version__ = "0.1.0"

@@ -75,12 +75,6 @@ def action_effect(a: Action, s: dict) -> dict:
     raise TypeError(f"not an action: {a!r}")
 
 
-def aut_step(aut: Automaton, node, state: dict) -> list:
-    """All successor (node, state) pairs, in edge-list order."""
-    return [(e.dest, action_effect(e.action, state))
-            for e in aut.edges if e.source == node]
-
-
 def step_image(cur: Cursor) -> list[Cursor]:
     """Static successors of a program point.
 
@@ -127,13 +121,6 @@ def edges_of(cur: Cursor) -> list[Edge]:
     return [Edge(cur, a, dest) for dest in step_image(cur)]
 
 
-def edges_of_nodes(cursors) -> list[Edge]:
-    out = []
-    for cur in cursors:
-        out.extend(edges_of(cur))
-    return out
-
-
 def program_automaton(c: Stmt) -> Automaton:
     """Compile a statement to its program-point automaton.
 
@@ -141,8 +128,8 @@ def program_automaton(c: Stmt) -> Automaton:
     count is twice the subterm count.  The initial node enters the root.
     """
     nodes = cursors_of(all_locations(c, TOP))
-    return Automaton(tuple(nodes), tuple(edges_of_nodes(nodes)),
-                     Cursor(Location(c, TOP), True))
+    edges = tuple(e for cur in nodes for e in edges_of(cur))
+    return Automaton(tuple(nodes), edges, Cursor(Location(c, TOP), True))
 
 
 def is_regular(aut: Automaton) -> bool:
@@ -162,10 +149,6 @@ def edges_closed(aut: Automaton) -> bool:
     """Every outgoing edge of every node is in the edge list."""
     edges = set(aut.edges)
     return all(e in edges for n in aut.nodes for e in edges_of(n))
-
-
-def step_image_closed(aut: Automaton) -> bool:
-    return nodes_closed(aut) and edges_closed(aut)
 
 
 @dataclass

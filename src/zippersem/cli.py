@@ -34,7 +34,10 @@ def _read_program(path):
 
 def _load_automaton_file(path):
     with open(path, encoding="utf-8") as fh:
-        return formats.load_automaton(json.load(fh))
+        try:
+            return formats.load_automaton(json.load(fh))
+        except RecursionError:
+            raise ValueError("automaton JSON is nested too deeply") from None
 
 
 def _parse_state(text):
@@ -89,16 +92,12 @@ def cmd_run(args):
 
 def cmd_compile(args):
     aut = program_automaton(_read_program(args.file))
-    if args.numbered:
-        numbered = formats.rename_nodes(aut)
-        if args.format == "dot":
-            labels = {i: f"{i}: {numbered.legend[i]}"
-                      for i in numbered.automaton.nodes}
-            text = formats.automaton_dot(numbered.automaton, labels)
-        else:
-            text = formats.to_json_text(formats.numbered_automaton_json(numbered))
-    elif args.format == "dot":
-        text = formats.automaton_dot(aut)
+    if args.format == "dot":
+        label = ((lambda n, i: f"{i}: {formats.render_node(n)}")
+                 if args.numbered else None)
+        text = formats.automaton_dot(aut, label)
+    elif args.numbered:
+        text = formats.to_json_text(formats.generic_automaton_json(aut))
     else:
         text = formats.to_json_text(formats.program_automaton_json(aut))
     _emit(text, args.output)
@@ -106,10 +105,7 @@ def cmd_compile(args):
 
 
 def cmd_tauclose(args):
-    if args.automaton:
-        base = _load_automaton_file(args.automaton)
-    else:
-        base = program_automaton(_read_program(args.file))
+    base = _input_automaton(args)
     if not is_regular(base):
         print("warning: input automaton is not regular "
               "(initial node or an edge endpoint is outside the node list)",
@@ -120,7 +116,7 @@ def cmd_tauclose(args):
                              "initial node outside the node list")
     closed = close_automaton(base)
     if args.format == "dot":
-        text = formats.automaton_dot(closed, formats.closed_labels(base, closed))
+        text = formats.closed_automaton_dot(base, closed)
     else:
         text = formats.to_json_text(formats.closed_automaton_json(base, closed))
     _emit(text, args.output)

@@ -1,14 +1,17 @@
 """Serialization: automata and traces to JSON and DOT, and back for the
 generic integer-noded automaton shape.
 
-JSON node ids are positions in the node list, so exports are deterministic
+Node rendering lives here: render_node prints cursors, closures and plain
+ids.  One writer builds every automaton JSON shape; the shapes differ only
+in the fields each node carries besides its id.  JSON node ids and DOT
+node names are positions in the node list, so exports are deterministic
 and re-import as the position-renamed automaton.
 """
 
 import json
-from dataclasses import dataclass
 
-from .ast import parse_value_literal, print_program, value_literal
+from .ast import (is_valid_name, parse_value_literal, print_program,
+                  value_literal)
 from .automaton import (SILENT, AssignAction, Automaton, Edge, Silent,
                         render_action)
 from .semantics import Trace
@@ -32,8 +35,9 @@ def action_from_json(obj):
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "none":
         return SILENT
-    if kind == "assign" and isinstance(obj.get("var"), str):
-        return AssignAction(obj["var"], parse_value_literal(obj["val"]))
+    var = obj.get("var") if kind == "assign" else None
+    if isinstance(var, str) and is_valid_name(var):
+        return AssignAction(var, parse_value_literal(obj["val"]))
     raise ValueError(f"bad action: {obj!r}")
 
 
@@ -41,7 +45,7 @@ def render_node(n) -> str:
     if isinstance(n, Cursor):
         return render_cursor(n)
     if isinstance(n, NodeSet):
-        return n.render()
+        return "{" + ", ".join(render_node(m) for m in n.members) + "}"
     return str(n)
 
 
@@ -53,38 +57,40 @@ def _node_ids(aut: Automaton) -> dict:
     return ids
 
 
-def program_automaton_json(aut: Automaton) -> dict:
-    """JSON shape for a cursor-noded automaton."""
+def _automaton_json(aut: Automaton, node_fields) -> dict:
+    """The JSON shape of every automaton: positional node ids, edges
+    between ids and the initial node's id.  node_fields(n) gives the
+    fields of node n besides its id."""
     ids = _node_ids(aut)
-    nodes = [{"id": i, "path": render_path(n.loc.path), "flag": n.entering,
-              "focus": print_program(n.loc.focus)}
-             for n, i in ids.items()]
+    nodes = [{"id": i, **node_fields(n)} for n, i in ids.items()]
     edges = [{"source": ids[e.source], "action": action_to_json(e.action),
               "dest": ids[e.dest]}
              for e in aut.edges]
     return {"nodes": nodes, "edges": edges, "init": ids[aut.init]}
+
+
+def program_automaton_json(aut: Automaton) -> dict:
+    """JSON shape for a cursor-noded automaton."""
+    return _automaton_json(aut, lambda n: {
+        "path": render_path(n.loc.path), "flag": n.entering,
+        "focus": print_program(n.loc.focus)})
+
+
+def _member_ids(base: Automaton):
+    """Sorted base node ids of the members of a closed node."""
+    base_ids = _node_ids(base)
+    return lambda n: sorted(base_ids[m] for m in n.members)
 
 
 def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
     """JSON shape for a closed automaton; members are base node ids."""
-    base_ids = _node_ids(base)
-    ids = _node_ids(closed)
-    nodes = [{"id": i, "members": sorted(base_ids[m] for m in n.members)}
-             for n, i in ids.items()]
-    edges = [{"source": ids[e.source], "action": action_to_json(e.action),
-              "dest": ids[e.dest]}
-             for e in closed.edges]
-    return {"nodes": nodes, "edges": edges, "init": ids[closed.init]}
+    members = _member_ids(base)
+    return _automaton_json(closed, lambda n: {"members": members(n)})
 
 
 def generic_automaton_json(aut: Automaton) -> dict:
     """JSON shape for an automaton over plain (typically int) nodes."""
-    ids = _node_ids(aut)
-    nodes = [{"id": i, "label": render_node(n)} for n, i in ids.items()]
-    edges = [{"source": ids[e.source], "action": action_to_json(e.action),
-              "dest": ids[e.dest]}
-             for e in aut.edges]
-    return {"nodes": nodes, "edges": edges, "init": ids[aut.init]}
+    return _automaton_json(aut, lambda n: {"label": render_node(n)})
 
 
 def _node_id(value, what):
@@ -130,44 +136,19 @@ def load_automaton(data: dict) -> Automaton:
     return Automaton(tuple(nodes), tuple(edges), _node_id(data["init"], "init"))
 
 
-@dataclass
-class NumberedAutomaton:
-    """An automaton renamed to integer ids plus a legend of the originals."""
-    automaton: Automaton
-    legend: dict
-
-
-def rename_nodes(aut: Automaton) -> NumberedAutomaton:
-    """Rename nodes to their positions in the node list."""
-    ids = _node_ids(aut)
-    edges = tuple(Edge(ids[e.source], e.action, ids[e.dest]) for e in aut.edges)
-    renamed = Automaton(tuple(ids.values()), edges, ids[aut.init])
-    legend = {i: render_node(n) for n, i in ids.items()}
-    return NumberedAutomaton(renamed, legend)
-
-
-def numbered_automaton_json(numbered: NumberedAutomaton) -> dict:
-    """JSON shape for a renamed automaton, labels from the legend."""
-    aut = numbered.automaton
-    nodes = [{"id": i, "label": numbered.legend[i]} for i in aut.nodes]
-    edges = [{"source": e.source, "action": action_to_json(e.action),
-              "dest": e.dest}
-             for e in aut.edges]
-    return {"nodes": nodes, "edges": edges, "init": aut.init}
-
-
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def automaton_dot(aut: Automaton, labels: dict | None = None) -> str:
-    """DOT digraph; node names are positional, labels default to the node
-    rendering.  The initial node is marked by a point-shaped source."""
+def automaton_dot(aut: Automaton, label=None) -> str:
+    """DOT digraph; node names are positional and label(node, id) gives
+    each node's label, by default its rendering.  The initial node is
+    marked by a point-shaped source."""
     ids = _node_ids(aut)
     lines = ["digraph automaton {", "  rankdir=LR;", "  __init [shape=point];"]
     for n, i in ids.items():
-        label = labels[n] if labels is not None else render_node(n)
-        lines.append(f"  n{i} [label={_quote(label)}];")
+        text = label(n, i) if label is not None else render_node(n)
+        lines.append(f"  n{i} [label={_quote(text)}];")
     lines.append(f"  __init -> n{ids[aut.init]};")
     for e in aut.edges:
         lines.append(f"  n{ids[e.source]} -> n{ids[e.dest]}"
@@ -176,11 +157,11 @@ def automaton_dot(aut: Automaton, labels: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def closed_labels(base: Automaton, closed: Automaton) -> dict:
-    """DOT labels for closed nodes: member sets of base node ids."""
-    base_ids = _node_ids(base)
-    return {n: "{" + ",".join(str(j) for j in sorted(base_ids[m] for m in n.members)) + "}"
-            for n in dict.fromkeys(closed.nodes)}
+def closed_automaton_dot(base: Automaton, closed: Automaton) -> str:
+    """DOT digraph of a closed automaton, labelled by member base ids."""
+    members = _member_ids(base)
+    return automaton_dot(closed, lambda n, i: "{" + ",".join(
+        str(j) for j in members(n)) + "}")
 
 
 def state_json(s: dict) -> dict:

@@ -8,13 +8,12 @@ destination has closure Y.  Membership of a node in a closed node is then
 a weak simulation witness between the automaton and its closure, checked
 by check_tau_simulation.
 
-Three routes to the closure sets coexist on purpose: tau_closure iterates
-the monotone closure_step until it reaches its fixpoint, closure_bfs is an
-independent breadth-first oracle, and close_automaton makes one ranked
-pass.  That pass sorts the distinct nodes by node_key once, runs a
-worklist on their ranks, builds one NodeSet per distinct closure straight
-from its sorted ranks, and orders the closed edges by rank tuples, so no
-sort key is computed per edge.  Tests pin the agreement of the routes.
+close_automaton is the one route to the closure sets.  It sorts the
+distinct nodes by node_key once, runs a worklist on their ranks, builds
+one NodeSet per distinct closure straight from its sorted ranks, and
+orders the closed edges by rank tuples, so no sort key is computed per
+edge.  The paper's fixpoint definition and a breadth-first search live in
+the tests as oracles, which pin this route against both.
 
 The closed automaton is kept on the automaton it was computed from, and
 a second close_automaton call returns it as it is.  So when
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 from .ast import cached_hash, value_literal
 from .automaton import SILENT, Automaton, Edge, Silent
-from .zipper import Cursor, render_cursor, render_path
+from .zipper import Cursor, render_path
 
 
 def node_key(n):
@@ -79,58 +78,11 @@ class NodeSet:
     def sort_key(self):
         return tuple(node_key(m) for m in self.members)
 
-    def render(self) -> str:
-        parts = [render_cursor(m) if isinstance(m, Cursor) else str(m)
-                 for m in self.members]
-        return "{" + ", ".join(parts) + "}"
-
 
 def action_key(a):
     if isinstance(a, Silent):
         return (0, "", "")
     return (1, a.name, value_literal(a.value))
-
-
-def closure_step(aut: Automaton, seed, x) -> frozenset:
-    """One expansion round: the seed, everything in x, and every automaton
-    node reached from x by one silent edge.
-
-    Monotone and extensive in x.  The seed is included even when it is not
-    a node of the automaton; silently reached nodes must be.
-    """
-    nodes = set(aut.nodes)
-    reached = {e.dest for e in aut.edges
-               if e.action == SILENT and e.source in x and e.dest in nodes}
-    return frozenset({seed} | set(x) | reached)
-
-
-def tau_closure(aut: Automaton, seed) -> NodeSet:
-    """Least fixpoint of closure_step, reached by iteration from the
-    empty set."""
-    x = frozenset()
-    while True:
-        y = closure_step(aut, seed, x)
-        if y == x:
-            return NodeSet.from_iter(x)
-        x = y
-
-
-def closure_bfs(aut: Automaton, seed) -> NodeSet:
-    """Independent oracle for tau_closure: plain breadth-first reach over
-    silent edges, restricted to automaton nodes."""
-    nodes = set(aut.nodes)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for e in aut.edges:
-                if (e.source == cur and e.action == SILENT
-                        and e.dest in nodes and e.dest not in seen):
-                    seen.add(e.dest)
-                    nxt.append(e.dest)
-        frontier = nxt
-    return NodeSet.from_iter(seen)
 
 
 def _closure_table(aut: Automaton):
@@ -164,39 +116,21 @@ def _closure_table(aut: Automaton):
     return rank, ranked, closures
 
 
-def closed_nodes(aut: Automaton) -> list:
-    """Closure of every node, in node-list order."""
-    return list(close_automaton(aut).nodes)
-
-
-def closed_init(aut: Automaton) -> NodeSet:
-    """Closure of the initial node (which may sit outside the node list)."""
-    return close_automaton(aut).init
-
-
-def edge_actions(aut: Automaton) -> list:
-    """Actions in edge-list order, duplicates preserved."""
-    return [e.action for e in aut.edges]
-
-
-def closed_edges(aut: Automaton) -> list:
-    """Non-silent edges of the closed automaton, deduplicated, in canonical
-    order.
-
-    X -a-> Y is kept iff some non-silent edge (s, a, d) of the automaton
-    has s in X and closure(d) = Y.  Enumerating actual edges instead of the
-    full (node, action, node) candidate product yields the same set: a
-    candidate survives the definition's filter exactly when such a witness
-    edge exists, and distinct nodes with equal closures collapse into one
-    deduplicated edge.  Edges with an endpoint outside the node list are
-    skipped, they cannot be witnessed (sources because closures only hold
-    nodes, destinations because their closure contains a non-node).
-    """
-    return list(close_automaton(aut).edges)
-
-
 def close_automaton(aut: Automaton) -> Automaton:
     """The silent-free automaton over closures.
+
+    Closed nodes are the closures of the nodes, in node-list order.  The
+    closed edges are deduplicated and in canonical order: X -a-> Y is kept
+    iff some non-silent edge (s, a, d) of the automaton has s in X and
+    closure(d) = Y.  Enumerating actual edges instead of the full
+    (node, action, node) candidate product yields the same set: a
+    candidate survives the definition's filter exactly when such a
+    witness edge exists, and distinct nodes with equal closures collapse
+    into one deduplicated edge.  Edges with an endpoint outside the node
+    list are skipped, they cannot be witnessed (sources because closures
+    only hold nodes, destinations because their closure contains a
+    non-node).  An initial node outside the node list is closed too: its
+    closure is itself plus the closures of the nodes one silent edge away.
 
     Computed once per automaton: the result is kept on `aut` and returned
     again by later calls.
@@ -229,7 +163,15 @@ def close_automaton(aut: Automaton) -> Automaton:
                   sorted(found, key=lambda t: (t[0], action_key(t[1]), t[2])))
 
     ri = rank.get(aut.init)
-    init = tau_closure(aut, aut.init) if ri is None else sets[closures[ri]]
+    if ri is not None:
+        init = sets[closures[ri]]
+    else:
+        seed = {aut.init}
+        reached = set()
+        for e in aut.edges:
+            if e.action == SILENT and e.source in seed and e.dest in rank:
+                reached.update(closures[rank[e.dest]])
+        init = NodeSet.from_iter([aut.init, *(ranked[j] for j in reached)])
     closed = Automaton(nodes, edges, init)
     object.__setattr__(aut, "_closed", closed)
     return closed

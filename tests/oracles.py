@@ -1,0 +1,63 @@
+"""Test-side reference routes and renamings.
+
+The fixpoint closure (closure_step iterated by tau_closure) is the
+paper's definition of a node's silent closure, and closure_bfs is an
+independent breadth-first oracle.  Tests check the library's one ranked
+route, tauclose.close_automaton, against both.  position_renaming is the
+automaton that a positional JSON export re-imports as.
+"""
+
+from zippersem.automaton import SILENT, Automaton, Edge
+from zippersem.tauclose import NodeSet
+
+
+def closure_step(aut: Automaton, seed, x) -> frozenset:
+    """One expansion round: the seed, everything in x, and every automaton
+    node reached from x by one silent edge.
+
+    Monotone and extensive in x.  The seed is included even when it is not
+    a node of the automaton; silently reached nodes must be.
+    """
+    nodes = set(aut.nodes)
+    reached = {e.dest for e in aut.edges
+               if e.action == SILENT and e.source in x and e.dest in nodes}
+    return frozenset({seed} | set(x) | reached)
+
+
+def tau_closure(aut: Automaton, seed) -> NodeSet:
+    """Least fixpoint of closure_step, reached by iteration from the
+    empty set."""
+    x = frozenset()
+    while True:
+        y = closure_step(aut, seed, x)
+        if y == x:
+            return NodeSet.from_iter(x)
+        x = y
+
+
+def closure_bfs(aut: Automaton, seed) -> NodeSet:
+    """Independent oracle for tau_closure: plain breadth-first reach over
+    silent edges, restricted to automaton nodes."""
+    nodes = set(aut.nodes)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for e in aut.edges:
+                if (e.source == cur and e.action == SILENT
+                        and e.dest in nodes and e.dest not in seen):
+                    seen.add(e.dest)
+                    nxt.append(e.dest)
+        frontier = nxt
+    return NodeSet.from_iter(seen)
+
+
+def position_renaming(aut: Automaton) -> Automaton:
+    """Rename nodes to their positions among the distinct nodes of the
+    node list."""
+    ids = {}
+    for n in aut.nodes:
+        ids.setdefault(n, len(ids))
+    edges = tuple(Edge(ids[e.source], e.action, ids[e.dest]) for e in aut.edges)
+    return Automaton(tuple(ids.values()), edges, ids[aut.init])

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 import acceptance_report
+from oracles import closure_bfs, closure_step, tau_closure
 from randgen import random_automaton, random_program, random_state
 from zippersem.ast import TRUE, subterm_count
 from zippersem.automaton import (SILENT, AssignAction, action_of,
@@ -20,9 +21,7 @@ from zippersem.automaton import (SILENT, AssignAction, action_of,
                                  nodes_closed, program_automaton)
 from zippersem.cli import main as cli_main
 from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED, run_trace
-from zippersem.tauclose import (check_tau_simulation, close_automaton,
-                                closed_nodes, closure_bfs, closure_step,
-                                tau_closure)
+from zippersem.tauclose import check_tau_simulation, close_automaton
 from zippersem.zipper import Top, advance, all_locations, reconstruct_loc
 
 _T0 = time.perf_counter()
@@ -138,7 +137,7 @@ def test_criterion_6_closure_routes_agree(automata_corpus):
                       "500 random automata; one-step closure is monotone "
                       "(1000 pairs)"):
         for m in automata_corpus:
-            for n, via_bulk in zip(m.nodes, closed_nodes(m)):
+            for n, via_bulk in zip(m.nodes, close_automaton(m).nodes):
                 assert tau_closure(m, n) == closure_bfs(m, n) == via_bulk
         rng = random.Random(67)
         checked = 0
@@ -179,7 +178,7 @@ def test_criterion_8_observable_traces_survive_closure():
             trace = run_trace(c, state, 200)
             aut = program_automaton(c)
             closed = close_automaton(aut)
-            closure_of = dict(zip(aut.nodes, closed_nodes(aut)))
+            closure_of = dict(zip(aut.nodes, closed.nodes))
             out_edges = {}
             for e in closed.edges:
                 out_edges.setdefault(e.source, []).append(e)

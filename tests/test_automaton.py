@@ -6,11 +6,10 @@ from randgen import random_program, random_state
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var,
                            parse_program, subterm_count)
 from zippersem.automaton import (SILENT, AssignAction, Automaton, Edge,
-                                 action_effect, action_of, aut_step,
-                                 check_simulation, edges_closed, edges_of,
-                                 is_regular, nodes_closed, program_automaton,
-                                 render_action, step_image,
-                                 step_image_closed)
+                                 action_effect, action_of, check_simulation,
+                                 edges_closed, edges_of, is_regular,
+                                 nodes_closed, program_automaton,
+                                 render_action, step_image)
 from zippersem.zipper import (TOP, Cursor, Location, all_locations,
                               render_path)
 
@@ -86,16 +85,6 @@ def test_loop_automaton_counts():
         == {"x:=true", "y:=false"}
 
 
-def test_aut_step():
-    aut = program_automaton(Skip())
-    [(node, state)] = aut_step(aut, aut.init, {"a": TRUE})
-    assert node == _cursor(Skip(), entering=False)
-    assert state == {"a": TRUE}
-    assert aut_step(aut, node, {}) == []
-    loop_aut = program_automaton(LOOP)
-    assert len(aut_step(loop_aut, loop_aut.init, {})) == 2
-
-
 def test_node_count_is_twice_the_subterm_count():
     rng = random.Random(12)
     for _ in range(100):
@@ -109,7 +98,6 @@ def test_compiled_automata_are_closed_and_regular():
         aut = program_automaton(random_program(rng))
         assert nodes_closed(aut)
         assert edges_closed(aut)
-        assert step_image_closed(aut)
         assert is_regular(aut)
 
 
@@ -118,7 +106,6 @@ def test_closure_predicates_detect_holes():
     # dropping the last node leaves a successor outside the node list
     chopped = Automaton(aut.nodes[:-1], aut.edges, aut.init)
     assert not nodes_closed(chopped)
-    assert not step_image_closed(chopped)
     # dropping an edge breaks edge closure but not node closure
     missing = Automaton(aut.nodes, aut.edges[:-1], aut.init)
     assert nodes_closed(missing)

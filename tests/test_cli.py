@@ -165,6 +165,32 @@ def test_tauclose_rejects_malformed_json(tmp_path, capsys):
     assert main(["tauclose", "--automaton", missing_bits]) == 2
 
 
+def test_deeply_nested_automaton_json_exits_2(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    for text in (deep, '{"nodes": [1], "edges": [], "init": ' + deep + "}"):
+        f = write(tmp_path, "deep.json", text)
+        for argv in (["tauclose", "--automaton", f],
+                     ["check", "tausim", "--automaton", f],
+                     ["check", "regular", "--automaton", f]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                "error: automaton JSON is nested too deeply\n"
+
+
+def test_assignment_to_an_invalid_name_exits_2(tmp_path, capsys):
+    for var in ("", "if", "true", "1x", "x y", "_x"):
+        f = write(tmp_path, "bad.json", json.dumps(
+            {"nodes": [1], "init": 1, "edges": [
+                {"source": 1, "dest": 1, "action":
+                 {"kind": "assign", "var": var, "val": "true"}}]}))
+        for argv in (["tauclose", "--automaton", f],
+                     ["check", "regular", "--automaton", f]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad action")
+
+
 def test_check_sim(tmp_path, capsys):
     f = write(tmp_path, "loop.imp", LOOP_SRC)
     assert main(["check", "sim", f, "--max-steps", "60"]) == 0
@@ -320,9 +346,34 @@ def test_check_closure_runs_each_predicate_once(tmp_path, capsys, monkeypatch):
             calls.append(name)
             return original(aut)
 
-        # both bindings, so a call through step_image_closed counts too
+        # both bindings, so a call from inside automaton counts too
         monkeypatch.setattr(automaton, name, counted)
         monkeypatch.setattr(cli, name, counted)
     f = write(tmp_path, "loop.imp", LOOP_SRC)
     assert main(["check", "closure", f]) == 0
     assert sorted(calls) == ["edges_closed", "nodes_closed"]
+
+
+GOLDEN = [
+    ("golden_compile_loop.json", ["compile", "LOOP"]),
+    ("golden_compile_loop.dot", ["compile", "LOOP", "--format", "dot"]),
+    ("golden_compile_loop_numbered.json", ["compile", "LOOP", "--numbered"]),
+    ("golden_compile_loop_numbered.dot",
+     ["compile", "LOOP", "--numbered", "--format", "dot"]),
+    ("golden_tauclose_loop.json", ["tauclose", "LOOP"]),
+    ("golden_tauclose_loop.dot", ["tauclose", "LOOP", "--format", "dot"]),
+    ("golden_tauclose_silent_fork.json", ["tauclose", "--automaton", "FORK"]),
+    ("golden_tauclose_silent_fork.dot",
+     ["tauclose", "--automaton", "FORK", "--format", "dot"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN, ids=[g for g, _ in GOLDEN])
+def test_output_matches_the_golden_file(tmp_path, capsys, fixtures_dir,
+                                        golden, argv):
+    inputs = {"LOOP": write(tmp_path, "loop.imp", LOOP_SRC),
+              "FORK": str(fixtures_dir / "silent_fork.json")}
+    assert main([inputs.get(a, a) for a in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == (fixtures_dir / golden).read_bytes()
+    assert captured.err == ""

@@ -5,21 +5,19 @@ import random
 
 import pytest
 
+from oracles import position_renaming
 from randgen import random_automaton, random_program
 from zippersem.ast import TRUE, parse_program
 from zippersem.automaton import (SILENT, AssignAction, is_regular,
                                  program_automaton)
-from zippersem.formats import (NumberedAutomaton, action_from_json,
-                               action_to_json, automaton_dot,
-                               closed_automaton_json, closed_labels,
-                               generic_automaton_json, load_automaton,
-                               numbered_automaton_json,
-                               program_automaton_json, rename_nodes,
+from zippersem.formats import (action_from_json, action_to_json,
+                               automaton_dot, closed_automaton_dot,
+                               closed_automaton_json, generic_automaton_json,
+                               load_automaton, program_automaton_json,
                                render_node, render_state, state_json,
                                to_json_text, trace_json, trace_text)
 from zippersem.semantics import run_trace
 from zippersem.tauclose import NodeSet, close_automaton
-from zippersem.zipper import Cursor
 
 LOOP = parse_program("while (true) { x := true; y := false }")
 
@@ -41,6 +39,7 @@ def test_render_node_dispatch():
     aut = program_automaton(LOOP)
     assert render_node(aut.init) == "@top ↓"
     assert render_node(NodeSet.from_iter([2, 1])) == "{1, 2}"
+    assert render_node(NodeSet.from_iter([aut.init])) == "{@top ↓}"
     assert render_node(7) == "7"
 
 
@@ -69,7 +68,7 @@ def test_load_automaton_accepts_bare_and_object_nodes(silent_fork):
     bare = {"nodes": [1, 2], "edges": [], "init": 1}
     assert load_automaton(bare).nodes == (1, 2)
     data = json.loads(to_json_text(generic_automaton_json(silent_fork)))
-    assert load_automaton(data) == rename_nodes(silent_fork).automaton
+    assert load_automaton(data) == position_renaming(silent_fork)
 
 
 def test_load_automaton_rejects_garbage():
@@ -90,18 +89,19 @@ def test_program_json_reimports_as_the_position_renaming():
     for _ in range(30):
         aut = program_automaton(random_program(rng))
         loaded = load_automaton(json.loads(to_json_text(program_automaton_json(aut))))
-        assert loaded == rename_nodes(aut).automaton
+        assert loaded == position_renaming(aut)
 
 
 def test_rename_nodes_preserves_structure():
     rng = random.Random(32)
     for _ in range(30):
         m = random_automaton(rng)
-        numbered = rename_nodes(m)
-        assert numbered.automaton.nodes == tuple(range(len(set(m.nodes))))
-        assert len(numbered.automaton.edges) == len(m.edges)
-        assert is_regular(numbered.automaton) == is_regular(m)
-        assert sorted(numbered.legend) == list(numbered.automaton.nodes)
+        renamed = position_renaming(m)
+        assert renamed.nodes == tuple(range(len(set(m.nodes))))
+        assert len(renamed.edges) == len(m.edges)
+        assert is_regular(renamed) == is_regular(m)
+        labels = generic_automaton_json(m)["nodes"]
+        assert [n["id"] for n in labels] == list(renamed.nodes)
 
 
 def test_renaming_commutes_with_closure_memberwise():
@@ -109,7 +109,7 @@ def test_renaming_commutes_with_closure_memberwise():
     for _ in range(30):
         m = random_automaton(rng)
         ids = {n: i for i, n in enumerate(dict.fromkeys(m.nodes))}
-        closed_after = close_automaton(rename_nodes(m).automaton)
+        closed_after = close_automaton(position_renaming(m))
         closed_before = close_automaton(m)
 
         def mapped(ns):
@@ -124,7 +124,7 @@ def test_renaming_commutes_with_closure_memberwise():
 
 def test_numbered_automaton_json():
     aut = program_automaton(parse_program("skip"))
-    data = numbered_automaton_json(rename_nodes(aut))
+    data = generic_automaton_json(aut)
     assert data == {
         "nodes": [{"id": 0, "label": "@top ↓"},
                   {"id": 1, "label": "@top ↑"}],
@@ -152,7 +152,7 @@ def test_dot_quotes_special_characters():
 
 def test_dot_closed_labels(silent_fork):
     closed = close_automaton(silent_fork)
-    dot = automaton_dot(closed, closed_labels(silent_fork, closed))
+    dot = closed_automaton_dot(silent_fork, closed)
     assert '[label="{0,1,2}"];' in dot
     assert dot.count("->") == 7
 
