@@ -4,7 +4,7 @@ silent-transition closure with an executable simulation witness."""
 
 from .ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, Expr, Lit, Null,
                   ParseError, Seq, Skip, Stmt, Value, Var, While,
-                  parse_program, print_program, subterm_count)
+                  parse_program, print_program)
 from .zipper import (TOP, CondElse, CondThen, Cursor, Location, Path, SeqLeft,
                      SeqRight, Top, WhileBody, advance, all_locations,
                      cursors_of, reconstruct, reconstruct_loc, render_path)

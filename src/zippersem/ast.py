@@ -18,40 +18,63 @@ keywords.
 """
 
 import re
-from dataclasses import dataclass
+import reprlib
+import weakref
+from dataclasses import dataclass, fields
 
 
-def cached_hash(cls):
-    """Memoize the structural hash per instance.
+class _Interning(type):
+    """Interns in __call__, not __new__: a live node skips __init__."""
 
-    Cursors, paths and node sets get hashed millions of times during
-    closure computation; the recursive dataclass hash would walk the whole
-    subtree on every call.  Instances are frozen, so caching is safe.
+    def __call__(cls, *values):
+        key = (cls, *values)
+        node = HashConsed._live.get(key)
+        if node is None:
+            node = HashConsed._live[key] = super().__call__(*values)
+        return node
+
+
+class HashConsed(metaclass=_Interning):
+    """Base of every syntax node, path frame, location, cursor and node set.
+
+    Evaluation walks one fixed syntax tree and the automata compare program
+    points, positions in that tree, all the time.  Hash-consing (Filliâtre
+    and Conchon, Type-Safe Modular Hash-Consing, 2006) makes structurally
+    equal values one object, so equality is identity, hashing is O(1), and
+    a zipper step that rebuilds a parent gets the original node back.  The
+    table of live values is weak: dropping a program frees its nodes.
+    Subclasses are frozen dataclasses with eq=False and repr=False.
     """
-    base_hash = cls.__hash__
 
-    def __hash__(self):
-        try:
-            return self._hash_cache
-        except AttributeError:
-            h = base_hash(self)
-            object.__setattr__(self, "_hash_cache", h)
-            return h
+    _live = weakref.WeakValueDictionary()
 
-    cls.__hash__ = __hash__
-    return cls
+    def __repr__(self):
+        """The dataclass repr, built on a stack so that deep trees print."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, f in enumerate(fields(item)):
+                v = getattr(item, f.name)
+                parts += [f"{', ' if i else ''}{f.name}=",
+                          v if isinstance(v, HashConsed) else repr(v)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
 
 
-class Value:
+class Value(HashConsed):
     """Runtime value: a boolean or null."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bool(Value):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Null(Value):
     pass
 
@@ -61,52 +84,49 @@ FALSE = Bool(False)
 NULL = Null()
 
 
-class Expr:
+class Expr(HashConsed):
     """Expression: a literal value or a variable read."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-class Stmt:
+class Stmt(HashConsed):
     """Statement."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Skip(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Assign(Stmt):
     name: str
     value: Value
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Stmt):
     first: Stmt
     second: Stmt
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cond(Stmt):
     test: Expr
     then_branch: Stmt
     else_branch: Stmt
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class While(Stmt):
     test: Expr
     body: Stmt
@@ -130,6 +150,12 @@ def value_literal(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
+def brief_repr(value) -> str:
+    """repr(value), or reprlib's cut of it when the repr is over 100 chars."""
+    full = repr(value)
+    return full if len(full) <= 100 else reprlib.repr(value)
+
+
 def parse_value_literal(s: str) -> Value:
     if s == "true":
         return TRUE
@@ -137,7 +163,7 @@ def parse_value_literal(s: str) -> Value:
         return FALSE
     if s == "null":
         return NULL
-    raise ValueError(f"expected one of true, false, null: {s!r}")
+    raise ValueError(f"expected one of true, false, null: {brief_repr(s)}")
 
 
 def print_expr(e: Expr) -> str:
@@ -155,31 +181,25 @@ def print_program(c: Stmt) -> str:
     grammar, so its rendering re-parses right-nested; everything the parser
     can produce round-trips to an equal tree.
     """
-    if isinstance(c, Skip):
-        return "skip"
-    if isinstance(c, Assign):
-        return f"{c.name} := {value_literal(c.value)}"
-    if isinstance(c, Seq):
-        return f"{print_program(c.first)}; {print_program(c.second)}"
-    if isinstance(c, Cond):
-        return (f"if ({print_expr(c.test)}) {{ {print_program(c.then_branch)} }}"
-                f" else {{ {print_program(c.else_branch)} }}")
-    if isinstance(c, While):
-        return f"while ({print_expr(c.test)}) {{ {print_program(c.body)} }}"
-    raise TypeError(f"not a statement: {c!r}")
-
-
-def subterm_count(c: Stmt) -> int:
-    """Number of statement subterms, the statement itself included."""
-    if isinstance(c, (Skip, Assign)):
-        return 1
-    if isinstance(c, Seq):
-        return 1 + subterm_count(c.first) + subterm_count(c.second)
-    if isinstance(c, Cond):
-        return 1 + subterm_count(c.then_branch) + subterm_count(c.else_branch)
-    if isinstance(c, While):
-        return 1 + subterm_count(c.body)
-    raise TypeError(f"not a statement: {c!r}")
+    out, stack = [], [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, str):
+            out.append(c)
+        elif isinstance(c, Skip):
+            out.append("skip")
+        elif isinstance(c, Assign):
+            out.append(f"{c.name} := {value_literal(c.value)}")
+        elif isinstance(c, Seq):
+            stack += [c.second, "; ", c.first]
+        elif isinstance(c, Cond):
+            stack += [" }", c.else_branch, " } else { ", c.then_branch,
+                      f"if ({print_expr(c.test)}) {{ "]
+        elif isinstance(c, While):
+            stack += [" }", c.body, f"while ({print_expr(c.test)}) {{ "]
+        else:
+            raise TypeError(f"not a statement: {c!r}")
+    return "".join(out)
 
 
 class ParseError(Exception):
@@ -253,66 +273,65 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
+    def fail(self, message: str):
+        tok = self.peek()
         what = "end of input" if tok.kind == "eof" else repr(tok.text)
         raise ParseError(f"{message}, found {what}", tok.line, tok.column)
 
     def expect(self, text: str) -> _Token:
+        """The next token, which must be the symbol or keyword `text`."""
         tok = self.peek()
-        if tok.kind == "symbol" and tok.text == text:
+        if tok.kind in ("symbol", "keyword") and tok.text == text:
             return self.next()
         self.fail(f"expected {text!r}")
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == word:
-            return self.next()
-        self.fail(f"expected {word!r}")
-
     def parse_stmt(self) -> Stmt:
-        # stmt := basic (';' stmt)?  collected iteratively, folded to the right
-        parts = [self.parse_basic()]
-        while self.peek().kind == "symbol" and self.peek().text == ";":
-            self.next()
-            parts.append(self.parse_basic())
-        stmt = parts[-1]
-        for part in reversed(parts[:-1]):
-            stmt = Seq(part, stmt)
-        return stmt
-
-    def parse_basic(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "skip":
-            self.next()
-            return Skip()
-        if tok.kind == "keyword" and tok.text == "if":
-            self.next()
-            self.expect("(")
-            test = self.parse_expr()
-            self.expect(")")
-            self.expect("{")
-            then_branch = self.parse_stmt()
-            self.expect("}")
-            self.expect_keyword("else")
-            self.expect("{")
-            else_branch = self.parse_stmt()
-            self.expect("}")
-            return Cond(test, then_branch, else_branch)
-        if tok.kind == "keyword" and tok.text == "while":
-            self.next()
-            self.expect("(")
-            test = self.parse_expr()
-            self.expect(")")
-            self.expect("{")
-            body = self.parse_stmt()
-            self.expect("}")
-            return While(test, body)
-        if tok.kind == "ident":
-            name = self.next().text
-            self.expect(":=")
-            return Assign(name, self.parse_literal())
-        self.fail("expected a statement")
+        """stmt := basic (';' stmt)?, with open blocks on an explicit stack
+        so that nesting depth is not bounded by the recursion limit.  Each
+        block keeps the ';' chain it interrupts, its keyword ('if', 'else'
+        or 'while'), its test and, for 'else', the then-branch."""
+        blocks = []
+        chain = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "keyword" and tok.text in ("if", "while"):
+                self.next()
+                self.expect("(")
+                test = self.parse_expr()
+                self.expect(")")
+                self.expect("{")
+                blocks.append((chain, tok.text, test, None))
+                chain = []
+                continue
+            if tok.kind == "keyword" and tok.text == "skip":
+                self.next()
+                chain.append(Skip())
+            elif tok.kind == "ident":
+                name = self.next().text
+                self.expect(":=")
+                chain.append(Assign(name, self.parse_literal()))
+            else:
+                self.fail("expected a statement")
+            # a basic statement is complete: close every chain it ends
+            while True:
+                if self.peek().kind == "symbol" and self.peek().text == ";":
+                    self.next()
+                    break
+                stmt = chain[-1]
+                for part in reversed(chain[:-1]):
+                    stmt = Seq(part, stmt)
+                if not blocks:
+                    return stmt
+                chain, kind, test, then_branch = blocks.pop()
+                self.expect("}")
+                if kind == "if":
+                    self.expect("else")
+                    self.expect("{")
+                    blocks.append((chain, "else", test, stmt))
+                    chain = []
+                    break
+                chain.append(While(test, stmt) if kind == "while"
+                             else Cond(test, then_branch, stmt))
 
     def parse_expr(self) -> Expr:
         tok = self.peek()

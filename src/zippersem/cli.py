@@ -226,7 +226,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(20000)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "file", True) is None and not getattr(args, "automaton", None):

@@ -10,8 +10,8 @@ and re-import as the position-renamed automaton.
 
 import json
 
-from .ast import (is_valid_name, parse_value_literal, print_program,
-                  value_literal)
+from .ast import (brief_repr, is_valid_name, parse_value_literal,
+                  print_program, value_literal)
 from .automaton import (SILENT, AssignAction, Automaton, Edge, Silent,
                         render_action)
 from .semantics import Trace
@@ -38,7 +38,7 @@ def action_from_json(obj):
     var = obj.get("var") if kind == "assign" else None
     if isinstance(var, str) and is_valid_name(var):
         return AssignAction(var, parse_value_literal(obj["val"]))
-    raise ValueError(f"bad action: {obj!r}")
+    raise ValueError(f"bad action: {brief_repr(obj)}")
 
 
 def render_node(n) -> str:
@@ -99,7 +99,8 @@ def _node_id(value, what):
     try:
         hash(value)
     except TypeError:
-        raise ValueError(f"{what} is not a valid node id: {value!r}") from None
+        raise ValueError(f"{what} is not a valid node id: "
+                         f"{brief_repr(value)}") from None
     return value
 
 
@@ -121,7 +122,7 @@ def load_automaton(data: dict) -> Automaton:
     for item in raw_nodes:
         if isinstance(item, dict):
             if "id" not in item:
-                raise ValueError(f"node object without id: {item!r}")
+                raise ValueError(f"node object without id: {brief_repr(item)}")
             nodes.append(_node_id(item["id"], "node"))
         else:
             nodes.append(_node_id(item, "node"))
@@ -132,7 +133,7 @@ def load_automaton(data: dict) -> Automaton:
                               action_from_json(item["action"]),
                               _node_id(item["dest"], "edge destination")))
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad edge: {item!r}") from exc
+            raise ValueError(f"bad edge: {brief_repr(item)}") from exc
     return Automaton(tuple(nodes), tuple(edges), _node_id(data["init"], "init"))
 
 

@@ -23,7 +23,7 @@ the caller already made, and `zippersem check tausim` closes once.
 
 from dataclasses import dataclass
 
-from .ast import cached_hash, value_literal
+from .ast import HashConsed, value_literal
 from .automaton import SILENT, Automaton, Edge, Silent
 from .zipper import Cursor, render_path
 
@@ -49,13 +49,13 @@ def node_key(n):
     return (5, n)
 
 
-@cached_hash
-@dataclass(frozen=True)
-class NodeSet:
+@dataclass(frozen=True, eq=False, repr=False)
+class NodeSet(HashConsed):
     """Duplicate-free, canonically ordered set of base nodes.
 
-    The node type of closed automata.  Equality and hashing follow the
-    member tuple, which is unique per set because of the canonical order.
+    The node type of closed automata.  Hash-consed on the member tuple,
+    which is unique per set because of the canonical order, so equal sets
+    are one object.
     """
     members: tuple
 

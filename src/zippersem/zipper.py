@@ -10,36 +10,33 @@ uses as nodes.
 
 from dataclasses import dataclass
 
-from .ast import Cond, Expr, Seq, Stmt, While, cached_hash
+from .ast import Cond, Expr, HashConsed, Seq, Stmt, While
 
 
-class Path:
+class Path(HashConsed):
     """Inverted context of a focus; frames point upward to the root."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Path):
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SeqLeft(Path):
     """Focus is the first statement of a Seq; `after` is the second."""
     up: Path
     after: Stmt
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SeqRight(Path):
     """Focus is the second statement of a Seq; `before` is the first."""
     before: Stmt
     up: Path
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CondThen(Path):
     """Focus is the then-branch of a Cond."""
     test: Expr
@@ -47,8 +44,7 @@ class CondThen(Path):
     orelse: Stmt
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CondElse(Path):
     """Focus is the else-branch of a Cond."""
     test: Expr
@@ -56,8 +52,7 @@ class CondElse(Path):
     up: Path
 
 
-@cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class WhileBody(Path):
     """Focus is the body of a While."""
     test: Expr
@@ -67,16 +62,14 @@ class WhileBody(Path):
 TOP = Top()
 
 
-@cached_hash
-@dataclass(frozen=True)
-class Location:
+@dataclass(frozen=True, eq=False, repr=False)
+class Location(HashConsed):
     focus: Stmt
     path: Path
 
 
-@cached_hash
-@dataclass(frozen=True)
-class Cursor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Cursor(HashConsed):
     """A program point: a location plus a direction flag.
 
     entering=True sits just before the focus runs, entering=False just
@@ -114,15 +107,19 @@ def all_locations(c: Stmt, sp: Path = TOP) -> list[Location]:
     The result has exactly one entry per statement subterm; reconstructing
     any entry gives back reconstruct(c, sp).
     """
-    out = [Location(c, sp)]
-    if isinstance(c, Seq):
-        out += all_locations(c.first, SeqLeft(sp, c.second))
-        out += all_locations(c.second, SeqRight(c.first, sp))
-    elif isinstance(c, Cond):
-        out += all_locations(c.then_branch, CondThen(c.test, sp, c.else_branch))
-        out += all_locations(c.else_branch, CondElse(c.test, c.then_branch, sp))
-    elif isinstance(c, While):
-        out += all_locations(c.body, WhileBody(c.test, sp))
+    out = []
+    stack = [(c, sp)]
+    while stack:
+        c, sp = stack.pop()
+        out.append(Location(c, sp))
+        if isinstance(c, Seq):
+            stack.append((c.second, SeqRight(c.first, sp)))
+            stack.append((c.first, SeqLeft(sp, c.second)))
+        elif isinstance(c, Cond):
+            stack.append((c.else_branch, CondElse(c.test, c.then_branch, sp)))
+            stack.append((c.then_branch, CondThen(c.test, sp, c.else_branch)))
+        elif isinstance(c, While):
+            stack.append((c.body, WhileBody(c.test, sp)))
     return out
 
 

@@ -4,11 +4,26 @@ The fixpoint closure (closure_step iterated by tau_closure) is the
 paper's definition of a node's silent closure, and closure_bfs is an
 independent breadth-first oracle.  Tests check the library's one ranked
 route, tauclose.close_automaton, against both.  position_renaming is the
-automaton that a positional JSON export re-imports as.
+automaton that a positional JSON export re-imports as.  subterm_count is
+the recursive specification of the number of locations of a tree.
 """
 
+from zippersem.ast import Assign, Cond, Seq, Skip, Stmt, While
 from zippersem.automaton import SILENT, Automaton, Edge
 from zippersem.tauclose import NodeSet
+
+
+def subterm_count(c: Stmt) -> int:
+    """Number of statement subterms, the statement itself included."""
+    if isinstance(c, (Skip, Assign)):
+        return 1
+    if isinstance(c, Seq):
+        return 1 + subterm_count(c.first) + subterm_count(c.second)
+    if isinstance(c, Cond):
+        return 1 + subterm_count(c.then_branch) + subterm_count(c.else_branch)
+    if isinstance(c, While):
+        return 1 + subterm_count(c.body)
+    raise TypeError(f"not a statement: {c!r}")
 
 
 def closure_step(aut: Automaton, seed, x) -> frozenset:

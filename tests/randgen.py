@@ -4,8 +4,9 @@ Everything takes an explicit random.Random so test failures replay from
 the seed alone.
 """
 
+from oracles import subterm_count
 from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
-                           Var, While, subterm_count)
+                           Var, While)
 from zippersem.automaton import SILENT, AssignAction, Automaton, Edge
 
 NAMES = ["a", "b", "c", "x", "y", "z"]

@@ -13,9 +13,9 @@ from contextlib import contextmanager
 import pytest
 
 import acceptance_report
-from oracles import closure_bfs, closure_step, tau_closure
+from oracles import closure_bfs, closure_step, subterm_count, tau_closure
 from randgen import random_automaton, random_program, random_state
-from zippersem.ast import TRUE, subterm_count
+from zippersem.ast import TRUE
 from zippersem.automaton import (SILENT, AssignAction, action_of,
                                  check_simulation, edges_closed, is_regular,
                                  nodes_closed, program_automaton)

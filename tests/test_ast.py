@@ -1,14 +1,20 @@
-"""Parser, printer and subterm counting."""
+"""Parser, printer, subterm counting and hash-consed nodes."""
 
+import gc
 import random
 
 import pytest
 
+from oracles import subterm_count
 from randgen import random_program
-from zippersem.ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, Lit, Null,
-                           ParseError, Seq, Skip, Var, While, parse_program,
-                           parse_value_literal, print_program, subterm_count,
+from zippersem.ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, HashConsed,
+                           Lit, Null, ParseError, Seq, Skip, Var, While,
+                           parse_program, parse_value_literal, print_program,
                            value_literal)
+from zippersem.automaton import check_simulation, program_automaton
+from zippersem.semantics import run_trace
+from zippersem.tauclose import NodeSet, close_automaton
+from zippersem.zipper import TOP, Cursor, Location, SeqLeft
 
 LOOP_SRC = "while (e) { x := true; y := false }"
 
@@ -123,6 +129,51 @@ def test_subterm_count():
     assert subterm_count(Assign("x", TRUE)) == 1
     assert subterm_count(Seq(Skip(), Skip())) == 3
     assert subterm_count(parse_program(LOOP_SRC)) == 4
+
+
+def test_equal_nodes_are_one_object():
+    a, b = Assign("x", TRUE), Skip()
+    assert Seq(a, b) is Seq(a, b)
+    assert Seq(a, b) is not Seq(b, a)
+    assert parse_program("x := true; skip") is Seq(a, b)
+    # equality and hashing are object identity, O(1) at any depth
+    assert Seq.__eq__ is object.__eq__ and Seq.__hash__ is object.__hash__
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(Cond(Var("b"), Seq(Skip(), Assign("x", NULL)),
+                     While(Lit(TRUE), Skip()))) == (
+        "Cond(test=Var(name='b'), then_branch=Seq(first=Skip(), "
+        "second=Assign(name='x', value=Null())), else_branch=While("
+        "test=Lit(value=Bool(value=True)), body=Skip()))")
+    assert repr(Cursor(Location(Skip(), SeqLeft(TOP, Skip())), True)) == (
+        "Cursor(loc=Location(focus=Skip(), path=SeqLeft(up=Top(), "
+        "after=Skip())), entering=True)")
+    assert repr(NodeSet((1, "a"))) == "NodeSet(members=(1, 'a'))"
+
+
+def test_dropped_programs_leave_no_live_nodes():
+    # a compiled 1000-statement program and its trace, twice, as an
+    # in-process loop of jobs would; then a closure
+    src = "; ".join(f"v{i} := true" for i in range(999)) + \
+        "; while (v0) { v0 := false }"
+    gc.collect()
+    before = len(HashConsed._live)
+    for _ in range(2):
+        c = parse_program(src)
+        aut = program_automaton(c)
+        trace = run_trace(c, {}, 5000)
+        report = check_simulation(c, {}, 5000)
+        assert report.ok and len(aut.nodes) == 4000
+        assert len(HashConsed._live) > before + 4000
+        del c, aut, trace, report
+        gc.collect()
+        assert len(HashConsed._live) == before
+    closed = close_automaton(program_automaton(parse_program("x := true")))
+    assert len(closed.nodes) == 2 and len(HashConsed._live) > before
+    del closed
+    gc.collect()
+    assert len(HashConsed._live) == before
 
 
 def test_roundtrip_on_random_derivable_programs():

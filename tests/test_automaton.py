@@ -2,9 +2,10 @@
 
 import random
 
+from oracles import subterm_count
 from randgen import random_program, random_state
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var,
-                           parse_program, subterm_count)
+                           parse_program)
 from zippersem.automaton import (SILENT, AssignAction, Automaton, Edge,
                                  action_effect, action_of, check_simulation,
                                  edges_closed, edges_of, is_regular,

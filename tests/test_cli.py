@@ -1,6 +1,7 @@
 """Command line behavior: outputs and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -377,3 +378,71 @@ def test_output_matches_the_golden_file(tmp_path, capsys, fixtures_dir,
     captured = capsys.readouterr()
     assert captured.out.encode("utf-8") == (fixtures_dir / golden).read_bytes()
     assert captured.err == ""
+
+
+def _nested(depth):
+    """`x := true` wrapped `depth` times in `while (a) { ...; y := false }`."""
+    return "while (a) { " * depth + "x := true" + "; y := false }" * depth
+
+
+def test_deep_programs_run_at_the_default_recursion_limit(tmp_path, capsys):
+    limit = sys.getrecursionlimit()
+    nest = write(tmp_path, "nest.imp", _nested(6000))
+    assert main(["parse", nest, "--ast"]) == 0
+    assert capsys.readouterr().out == (
+        "While(test=Var(name='a'), body=Seq(first=" * 6000
+        + "Assign(name='x', value=Bool(value=True))"
+        + ", second=Assign(name='y', value=Bool(value=False))))" * 6000 + "\n")
+    assert main(["check", "sim", nest, "--state", "a=true"]) == 0
+    assert capsys.readouterr().out == \
+        "sim: 10000 steps matched, trace status step-limit\n"
+    assert main(["check", "closure", nest]) == 0
+    assert capsys.readouterr().out.count(": ok") == 3
+    assert main(["check", "regular", nest]) == 0
+    assert capsys.readouterr().out == "regular: ok\n"
+    text = "; ".join(f"x{i % 10} := true" for i in range(21000))
+    assert main(["parse", write(tmp_path, "chain.imp", text)]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert sys.getrecursionlimit() == limit
+
+
+def test_loader_errors_echo_a_bounded_value(tmp_path, capsys):
+    huge = list(range(100000))
+    silent = {"kind": "none"}
+    cases = [
+        ({"nodes": [1], "edges": [], "init": huge},
+         "error: init is not a valid node id: [0, 1, 2, 3, 4, 5, ...]"),
+        ({"nodes": [{"label": huge}], "edges": [], "init": 1},
+         "error: node object without id: {'label': [0, 1, 2, 3, 4, 5, ...]}"),
+        ({"nodes": [1], "edges": [{"source": 1, "dest": 1, "junk": huge}],
+          "init": 1}, "error: bad edge: {'dest': 1, 'junk': [0, 1, 2, "),
+        ({"nodes": [1], "edges": [{"source": 1, "dest": 1, "action":
+                                   {"kind": "assign", "var": "x", "val": huge}}],
+          "init": 1}, "error: expected one of true, false, null: [0, 1, "),
+        ({"nodes": [1], "edges": [{"source": 1, "dest": 1, "action":
+                                   {"kind": huge}}], "init": 1},
+         "error: bad action: {'kind': [0, 1, 2, 3, 4, 5, ...]}"),
+        ({"nodes": [1], "edges": [{"source": 1, "dest": 1, "action": silent,
+                                   "x": 1}, {"source": 1, "action": silent}],
+          "init": 1},
+         "error: bad edge: {'source': 1, 'action': {'kind': 'none'}}\n"),
+        ({"nodes": [1], "edges": [{"source": 1, "dest": 1, "action":
+                                   {"kind": "assign", "var": "if",
+                                    "val": "true"}}], "init": 1},
+         "error: bad action: {'kind': 'assign', 'var': 'if', 'val': 'true'}\n"),
+        ({"nodes": [1], "edges": [{"source": 1, "dest": 1, "action":
+                                   {"kind": "assign", "var": "...",
+                                    "val": "true"}}], "init": 1},
+         "error: bad action: {'kind': 'assign', 'var': '...', 'val': 'true'}\n"),
+    ]
+    for data, prefix in cases:
+        f = write(tmp_path, "big.json", json.dumps(data))
+        assert main(["tauclose", "--automaton", f]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.encode()) < 200
+    # a short literal that reprlib alone would cut keeps its full text
+    prog = write(tmp_path, "p.imp", "skip")
+    literal = "m" * 40
+    assert main(["run", prog, "--state", f"x={literal}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: expected one of true, false, null: {literal!r}\n")

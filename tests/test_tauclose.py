@@ -18,6 +18,7 @@ GAMMA = AssignAction("c", TRUE)
 def test_node_set_canonicalizes():
     assert NodeSet.from_iter([3, 1, 2, 1]).members == (1, 2, 3)
     assert NodeSet.from_iter([2, 1]) == NodeSet.from_iter([1, 2])
+    assert NodeSet.from_iter([2, 1]) is NodeSet.from_iter([1, 2])
     ns = NodeSet.from_iter([5, 4])
     assert 4 in ns and 6 not in ns
     assert list(ns) == [4, 5] and len(ns) == 2

@@ -2,9 +2,10 @@
 
 import random
 
+from oracles import subterm_count
 from randgen import random_program
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var, While,
-                           parse_program, subterm_count)
+                           parse_program)
 from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, Location,
                               SeqLeft, SeqRight, Top, WhileBody, advance,
                               all_locations, cursors_of, reconstruct,
@@ -58,8 +59,9 @@ def test_advance_equations():
     # finishing the first arm of a seq enters the second arm
     assert advance(A1, SeqLeft(TOP, A2)) == \
         Cursor(Location(A2, SeqRight(A1, TOP)), True)
-    # finishing the second arm leaves the whole seq
+    # finishing the second arm leaves the whole seq, the original node
     assert advance(A2, SeqRight(A1, TOP)) == Cursor(Location(BODY, TOP), False)
+    assert advance(A2, SeqRight(A1, TOP)).loc.focus is BODY
     # finishing either branch leaves the conditional
     c = Cond(e, A1, A2)
     assert advance(A1, CondThen(e, TOP, A2)) == Cursor(Location(c, TOP), False)
