@@ -21,6 +21,7 @@ import re
 import reprlib
 import weakref
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
 class _Interning(type):
@@ -209,60 +210,53 @@ class ParseError(Exception):
         self.line = line
         self.column = column
 
+    @classmethod
+    def at(cls, text: str, offset: int, message: str) -> "ParseError":
+        """The error at `offset` in `text`, with 1-based line and column."""
+        return cls(message, text.count("\n", 0, offset) + 1,
+                   offset - text.rfind("\n", 0, offset))
+
     def __str__(self):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "keyword", "symbol", "eof"
     text: str
-    line: int
-    column: int
+    offset: int
 
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
       | (?P<comment>//[^\n]*)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<assign>:=)
-      | (?P<symbol>[;(){}])
+      | (?P<symbol>:=|[;(){}])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        col = pos - line_start + 1
-        kind = m.lastgroup
-        chunk = m.group()
+    for m in _TOKEN_RE.finditer(text):
+        kind, chunk = m.lastgroup, m.group()
         if kind == "word":
             tokens.append(_Token("keyword" if chunk in KEYWORDS else "ident",
-                                 chunk, line, col))
-        elif kind in ("assign", "symbol"):
-            tokens.append(_Token("symbol", chunk, line, col))
-        # whitespace and comments fall through; keep line accounting
-        for i, ch in enumerate(chunk):
-            if ch == "\n":
-                line += 1
-                line_start = pos + i + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+                                 chunk, m.start()))
+        elif kind == "symbol":
+            tokens.append(_Token("symbol", chunk, m.start()))
+        elif kind == "bad":
+            raise ParseError.at(text, m.start(),
+                                f"unexpected character {chunk!r}")
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -276,7 +270,7 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         what = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(f"{message}, found {what}", tok.line, tok.column)
+        raise ParseError.at(self.text, tok.offset, f"{message}, found {what}")
 
     def expect(self, text: str) -> _Token:
         """The next token, which must be the symbol or keyword `text`."""
@@ -355,7 +349,7 @@ def parse_program(text: str) -> Stmt:
 
     Raises ParseError with line and column information on bad input.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     stmt = parser.parse_stmt()
     tok = parser.peek()
     if tok.kind != "eof":

@@ -200,7 +200,8 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--numbered", action="store_true",
-                   help="rename nodes to integer ids with a legend")
+                   help='JSON nodes carry {"id", "label"}; DOT labels '
+                        'read "id: rendering"')
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compile)
 
@@ -240,10 +241,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -99,11 +99,6 @@ class Trace:
     status: str = TERMINATED
     stuck_reason: str | None = None
 
-    def configs(self):
-        yield self.start
-        for cfg, _rule in self.steps:
-            yield cfg
-
     @property
     def final(self) -> Config:
         return self.steps[-1][0] if self.steps else self.start

@@ -24,29 +24,25 @@ the caller already made, and `zippersem check tausim` closes once.
 from dataclasses import dataclass
 
 from .ast import HashConsed, value_literal
-from .automaton import SILENT, Automaton, Edge, Silent
+from .automaton import SILENT, Automaton, Edge
 from .zipper import Cursor, render_path
 
 
 def node_key(n):
     """Canonical sort key: numbers numerically, then strings, then cursors
-    by (path, flag), then node sets by their members, then null, then any
-    other value by its own order.
+    by (path, flag), then null.
 
-    The leading tag keeps the order total over mixed node types, such as
-    the int and string ids a JSON automaton may use side by side.
+    These are the node types that reach a closure: the cursors of compiled
+    programs and the ids of JSON automata.  The leading tag keeps the order
+    total over mixed ids, such as ints and strings side by side.
     """
     if isinstance(n, Cursor):
         return (2, render_path(n.loc.path), n.entering)
-    if isinstance(n, NodeSet):
-        return (3, n.sort_key())
     if isinstance(n, str):
         return (1, n)
-    if isinstance(n, (int, float)):
-        return (0, n)
     if n is None:
-        return (4,)
-    return (5, n)
+        return (3,)
+    return (0, n)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -75,14 +71,10 @@ class NodeSet(HashConsed):
     def __len__(self):
         return len(self.members)
 
-    def sort_key(self):
-        return tuple(node_key(m) for m in self.members)
-
 
 def action_key(a):
-    if isinstance(a, Silent):
-        return (0, "", "")
-    return (1, a.name, value_literal(a.value))
+    """Sort key of a closed edge's action, which is never silent."""
+    return (a.name, value_literal(a.value))
 
 
 def _closure_table(aut: Automaton):
@@ -188,23 +180,22 @@ class TauSimReport:
 def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     """Check that membership witnesses a weak simulation of m by mc.
 
-    mc must be close_automaton(m), verified structurally first.  The
-    relation relates s to S iff s is a node of m, S a node of mc, and s is
-    a member of S.  It must relate the initial nodes, and for every related
-    pair and every m-edge from s: a silent edge's destination must stay
-    related to S itself, a non-silent edge must be matched by an mc-edge
-    from S with the same action whose destination relates to the
-    destination node.
+    mc must be close_automaton(m), verified first by comparing nodes,
+    edges and initial node; closed nodes are interned, so that is a walk
+    over pointers.  The relation relates s to S iff s is a node of m, S a
+    node of mc, and s is a member of S.  It must relate the initial nodes,
+    and for every related pair and every m-edge from s: a silent edge's
+    destination must stay related to S itself, a non-silent edge must be
+    matched by an mc-edge from S with the same action whose destination
+    relates to the destination node.  In a closure every member is a node
+    of m, and the initial nodes are related iff m.init is a node of m.
     """
     expected = close_automaton(m)
-    if mc is not expected and not (mc.nodes == expected.nodes
-                                   and mc.edges == expected.edges
-                                   and mc.init == expected.init):
+    if not (mc.nodes == expected.nodes and mc.edges == expected.edges
+            and mc.init == expected.init):
         return TauSimReport(0, False, (None, None, None,
                                        "second automaton is not the closure of the first"))
-    m_nodes = set(m.nodes)
-    mc_nodes = set(mc.nodes)
-    if not (m.init in m_nodes and mc.init in mc_nodes and m.init in mc.init):
+    if m.init not in m.nodes:
         return TauSimReport(0, False, (m.init, mc.init, None,
                                        "initial nodes are not related"))
     m_out = {}
@@ -216,15 +207,11 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     checked = 0
     for s2 in dict.fromkeys(mc.nodes):
         for s1 in s2:
-            if s1 not in m_nodes:
-                continue
             checked += 1
             for e in m_out.get(s1, []):
-                if (e.action == SILENT and e.dest in m_nodes
-                        and e.dest in s2):
+                if e.action == SILENT and e.dest in s2:
                     continue
                 if any(e2.action == e.action and e.dest in e2.dest
-                       and e.dest in m_nodes
                        for e2 in mc_out.get(s2, [])):
                     continue
                 return TauSimReport(checked, False, (s1, s2, e, "unmatched edge"))

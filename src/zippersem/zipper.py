@@ -79,21 +79,25 @@ class Cursor(HashConsed):
     entering: bool
 
 
+def _plug(c: Stmt, frame: Path) -> Stmt:
+    """The parent statement that `frame` builds around the focus `c`."""
+    if isinstance(frame, SeqLeft):
+        return Seq(c, frame.after)
+    if isinstance(frame, SeqRight):
+        return Seq(frame.before, c)
+    if isinstance(frame, CondThen):
+        return Cond(frame.test, c, frame.orelse)
+    if isinstance(frame, CondElse):
+        return Cond(frame.test, frame.then_branch, c)
+    if isinstance(frame, WhileBody):
+        return While(frame.test, c)
+    raise TypeError(f"not a path: {frame!r}")
+
+
 def reconstruct(c: Stmt, sp: Path) -> Stmt:
     """Plug the focus back into its context, yielding the whole tree."""
     while not isinstance(sp, Top):
-        if isinstance(sp, SeqLeft):
-            c, sp = Seq(c, sp.after), sp.up
-        elif isinstance(sp, SeqRight):
-            c, sp = Seq(sp.before, c), sp.up
-        elif isinstance(sp, CondThen):
-            c, sp = Cond(sp.test, c, sp.orelse), sp.up
-        elif isinstance(sp, CondElse):
-            c, sp = Cond(sp.test, sp.then_branch, c), sp.up
-        elif isinstance(sp, WhileBody):
-            c, sp = While(sp.test, c), sp.up
-        else:
-            raise TypeError(f"not a path: {sp!r}")
+        c, sp = _plug(c, sp), sp.up
     return c
 
 
@@ -134,15 +138,7 @@ def advance(c: Stmt, sp: Path) -> Cursor:
         return Cursor(Location(c, sp), False)
     if isinstance(sp, SeqLeft):
         return Cursor(Location(sp.after, SeqRight(c, sp.up)), True)
-    if isinstance(sp, SeqRight):
-        return Cursor(Location(Seq(sp.before, c), sp.up), False)
-    if isinstance(sp, CondThen):
-        return Cursor(Location(Cond(sp.test, c, sp.orelse), sp.up), False)
-    if isinstance(sp, CondElse):
-        return Cursor(Location(Cond(sp.test, sp.then_branch, c), sp.up), False)
-    if isinstance(sp, WhileBody):
-        return Cursor(Location(While(sp.test, c), sp.up), True)
-    raise TypeError(f"not a path: {sp!r}")
+    return Cursor(Location(_plug(c, sp), sp.up), isinstance(sp, WhileBody))
 
 
 def cursors_of(locations) -> list[Cursor]:

@@ -79,6 +79,23 @@ def test_parse_error_reports_position():
     assert "line 2, column 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("skip;\r\nx := y",
+     "expected a literal (true, false or null), found 'y'", 2, 6),
+    ("skip; // c := %\n  := true", "expected a statement, found ':='", 2, 3),
+    ("\tx := y", "expected a literal (true, false or null), found 'y'", 1, 7),
+    ("while (a) {\n  skip // done\n  ", "expected '}', found end of input",
+     3, 3),
+    ("x := true;\n  é", "unexpected character 'é'", 2, 3),
+], ids=["crlf", "after-comment", "tab", "end-of-input", "non-ascii"])
+def test_parse_error_positions(text, message, line, column):
+    # lines end at '\n' only; a column counts characters, so a tab is one
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == \
+        (message, line, column)
+
+
 def test_parse_error_on_missing_else():
     with pytest.raises(ParseError) as exc:
         parse_program("if (b) { skip }")

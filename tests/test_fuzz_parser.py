@@ -57,8 +57,10 @@ def near_miss(draw):
 def _check(text):
     try:
         c = parse_program(text)
-    except ParseError:
-        pass
+    except ParseError as exc:
+        # the position points into the text, or just past a line's end
+        assert 1 <= exc.line <= text.count("\n") + 1
+        assert 1 <= exc.column <= len(text.split("\n")[exc.line - 1]) + 1
     else:
         printed = print_program(c)
         # the grammar has no optional tokens: printing keeps every one

@@ -112,8 +112,9 @@ def test_run_trace_stuck_on_null_condition():
 def test_run_trace_loop_hits_step_limit():
     tr = run_trace(LOOP, {}, 4)
     assert tr.status == STEP_LIMIT
+    configs = [tr.start] + [cfg for cfg, _rule in tr.steps]
     rows = [(render_path(cfg.cursor.loc.path), cfg.cursor.entering, cfg.state)
-            for cfg in tr.configs()]
+            for cfg in configs]
     assert rows == [
         ("@top", True, {}),
         ("body", True, {}),
