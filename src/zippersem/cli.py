@@ -28,12 +28,12 @@ _STATUS_EXIT = {TERMINATED: EXIT_OK, STUCK: EXIT_STUCK, STEP_LIMIT: EXIT_STEP_LI
 
 
 def _read_program(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_program(fh.read())
 
 
 def _load_automaton_file(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return formats.load_automaton(json.load(fh))
         except RecursionError:

@@ -6,9 +6,14 @@ ids.  One writer builds every automaton JSON shape; the shapes differ only
 in the fields each node carries besides its id.  JSON node ids and DOT
 node names are positions in the node list, so exports are deterministic
 and re-import as the position-renamed automaton.
+
+One text writer, to_json_text, prints every JSON value, traces and all
+automaton shapes alike.  It writes the bytes of json.dumps with indent=2,
+sorted keys and non-ASCII kept, without the standard library's
+pure-Python indenting encoder, and joins lists of plain ints at C speed.
 """
 
-import json
+from json.encoder import encode_basestring
 
 from .ast import (brief_repr, is_valid_name, parse_value_literal,
                   print_program, value_literal)
@@ -19,8 +24,113 @@ from .tauclose import NodeSet
 from .zipper import Cursor, render_cursor, render_path
 
 
+_INF = float("inf")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _leaf_text(o) -> str:
+    """JSON text of a value that is not a list, tuple or dict."""
+    if isinstance(o, str):
+        return encode_basestring(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+# leaf writers by exact type; the rest, subclasses included, go through
+# the isinstance tests of _leaf_text, in json.dumps's order
+_LEAF = {str: encode_basestring, int: int.__repr__, float: _float_text,
+         bool: _leaf_text, type(None): _leaf_text}
+
+
+def _key_text(k) -> str:
+    """A dict key as json.dumps writes it, with the ': ' after it."""
+    if isinstance(k, str):
+        return encode_basestring(k) + ": "
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring(_leaf_text(k)) + ": "
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
 def to_json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The text of json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False) plus a newline, byte for byte.
+
+    With indent set, the standard library runs its pure-Python encoder,
+    one generator per container.  This writer appends each container's
+    pieces to one list, writes a leaf inside its container's loop, and
+    writes a list of plain ints with one join.  Dict items are sorted by
+    key, which orders them as json.dumps's sorted items do: keys of one
+    dict are never equal.
+    """
+    out = []
+    append = out.append
+    leaf_of = _LEAF.get
+
+    def write(o, nl):
+        # nl is a newline plus o's indent
+        if isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = nl + "  "
+            if all(type(x) is int for x in o):
+                append("[" + inner + ("," + inner).join(map(int.__repr__, o))
+                       + nl + "]")
+                return
+            comma = "," + inner
+            sep = "[" + inner
+            for x in o:
+                leaf = leaf_of(type(x))
+                if leaf is not None:
+                    append(sep + leaf(x))
+                else:
+                    append(sep)
+                    write(x, inner)
+                sep = comma
+            append(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            comma = "," + inner
+            sep = "{" + inner
+            for k in sorted(o):
+                v = o[k]
+                leaf = leaf_of(type(v))
+                if leaf is not None:
+                    append(sep + _key_text(k) + leaf(v))
+                else:
+                    append(sep + _key_text(k))
+                    write(v, inner)
+                sep = comma
+            append(nl + "}")
+        else:
+            append(_leaf_text(o))
+
+    write(obj, "\n")
+    append("\n")
+    return "".join(out)
 
 
 def action_to_json(a) -> dict:

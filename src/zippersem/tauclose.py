@@ -8,12 +8,18 @@ destination has closure Y.  Membership of a node in a closed node is then
 a weak simulation witness between the automaton and its closure, checked
 by check_tau_simulation.
 
-close_automaton is the one route to the closure sets.  It sorts the
-distinct nodes by node_key once, runs a worklist on their ranks, builds
-one NodeSet per distinct closure straight from its sorted ranks, and
-orders the closed edges by rank tuples, so no sort key is computed per
-edge.  The paper's fixpoint definition and a breadth-first search live in
-the tests as oracles, which pin this route against both.
+close_automaton is the one route to the closure sets, and its cost is
+near-linear in its output.  It ranks the distinct nodes once in canonical
+order; cursors are ranked by path_ranks, so no path is rendered.  It
+condenses the silent edges into strongly connected components (Tarjan,
+SIAM J. Comput. 1972) and computes one closure per component from the
+closures of its successors, in reverse topological order (Nuutila,
+Efficient Transitive Closure Computation in Large Digraphs, 1995).  Each
+component's closure is one closed node.  Numbered in sorted order, these
+closure ids key the closed edges, which are deduplicated and sorted as
+integers.  The paper's fixpoint definition, a breadth-first search and
+the rendered sort key live in the tests as oracles, which pin this route
+against them.
 
 The closed automaton is kept on the automaton it was computed from, and
 a second close_automaton call returns it as it is.  So when
@@ -22,27 +28,35 @@ the caller already made, and `zippersem check tausim` closes once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
 from .ast import HashConsed, value_literal
 from .automaton import SILENT, Automaton, Edge
-from .zipper import Cursor, render_path
+from .zipper import Cursor, path_ranks
 
 
-def node_key(n):
-    """Canonical sort key: numbers numerically, then strings, then cursors
-    by (path, flag), then null.
+def node_order(nodes):
+    """Canonical sort key over `nodes`: numbers numerically, then strings,
+    then cursors in render_path order of their paths, leaving before
+    entering, then null.
 
     These are the node types that reach a closure: the cursors of compiled
     programs and the ids of JSON automata.  The leading tag keeps the order
-    total over mixed ids, such as ints and strings side by side.
+    total over mixed ids, such as ints and strings side by side.  Cursors
+    of different trees with equal rendered paths tie.
     """
-    if isinstance(n, Cursor):
-        return (2, render_path(n.loc.path), n.entering)
-    if isinstance(n, str):
-        return (1, n)
-    if n is None:
-        return (3,)
-    return (0, n)
+    ranks = path_ranks(n.loc.path for n in nodes if isinstance(n, Cursor))
+
+    def key(n):
+        if isinstance(n, Cursor):
+            return (2, ranks[n.loc.path], n.entering)
+        if isinstance(n, str):
+            return (1, n)
+        if n is None:
+            return (3,)
+        return (0, n)
+    return key
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -55,12 +69,14 @@ class NodeSet(HashConsed):
     """
     members: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_set", frozenset(self.members))
+    @cached_property
+    def _set(self):
+        return frozenset(self.members)
 
     @classmethod
     def from_iter(cls, it) -> "NodeSet":
-        return cls(tuple(sorted(set(it), key=node_key)))
+        nodes = set(it)
+        return cls(tuple(sorted(nodes, key=node_order(nodes))))
 
     def __contains__(self, n):
         return n in self._set
@@ -77,15 +93,70 @@ def action_key(a):
     return (a.name, value_literal(a.value))
 
 
-def _closure_table(aut: Automaton):
-    """Silent reachability for every distinct node, in one ranked pass.
+def _components(succ):
+    """Strongly connected components of the graph i -> succ[i], found by
+    an iterative Tarjan search.
 
-    The distinct nodes are sorted by node_key once; a node's rank is its
-    position in that order.  Returns (rank per node, nodes in rank order,
-    closure of each rank as a sorted tuple of ranks).  Comparing closures
-    as rank tuples orders them as comparing their sort keys would.
+    Returns the components as vertex lists in the order the search
+    completes them, which is reverse topological: a component comes after
+    every component it reaches.  Also returns each vertex's component.
     """
-    ranked = sorted(dict.fromkeys(aut.nodes), key=node_key)
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n         # -1 while unvisited or on the stack
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    members = []
+                    w = None
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = len(comps)
+                        members.append(w)
+                    comps.append(members)
+    return comps, comp
+
+
+def _closure_table(aut: Automaton):
+    """Silent reachability for every distinct node, one closure per
+    silent component.
+
+    The distinct nodes are sorted by node_order once; a node's rank is its
+    position in that order.  A component's closure is its members plus
+    the closures of its successor components.  The successors are taken
+    in topological order, and one whose members the closure already holds
+    is skipped, since its whole closure is in there too.  Returns (rank
+    per node, nodes in rank order, component per rank, closure of each
+    component as a sorted tuple of ranks, successor components each
+    closure was built from).  Comparing closures as rank tuples orders
+    them as comparing their members' sort keys would.
+    """
+    distinct = list(dict.fromkeys(aut.nodes))
+    ranked = sorted(distinct, key=node_order(distinct))
     rank = {n: r for r, n in enumerate(ranked)}
     succ = [[] for _ in ranked]
     for e in aut.edges:
@@ -94,18 +165,20 @@ def _closure_table(aut: Automaton):
             di = rank.get(e.dest)
             if si is not None and di is not None:
                 succ[si].append(di)
+    comps, comp = _components(succ)
     closures = []
-    for r in range(len(ranked)):
-        seen = {r}
-        stack = [r]
-        while stack:
-            j = stack.pop()
-            for k in succ[j]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        closures.append(tuple(sorted(seen)))
-    return rank, ranked, closures
+    parts = []
+    for c, members in enumerate(comps):
+        reach = set(members)
+        took = []
+        for d in sorted({comp[j] for i in members for j in succ[i]} - {c},
+                        reverse=True):
+            if comps[d][0] not in reach:
+                reach.update(closures[d])
+                took.append(d)
+        closures.append(tuple(sorted(reach)))
+        parts.append(took)
+    return rank, ranked, comp, closures, parts
 
 
 def close_automaton(aut: Automaton) -> Automaton:
@@ -118,11 +191,13 @@ def close_automaton(aut: Automaton) -> Automaton:
     (node, action, node) candidate product yields the same set: a
     candidate survives the definition's filter exactly when such a
     witness edge exists, and distinct nodes with equal closures collapse
-    into one deduplicated edge.  Edges with an endpoint outside the node
-    list are skipped, they cannot be witnessed (sources because closures
-    only hold nodes, destinations because their closure contains a
-    non-node).  An initial node outside the node list is closed too: its
-    closure is itself plus the closures of the nodes one silent edge away.
+    into one deduplicated edge.  The edges of a closure are those of its
+    component's members plus those of the successor closures it was built
+    from.  Edges with an endpoint outside the node list are skipped, they
+    cannot be witnessed (sources because closures only hold nodes,
+    destinations because their closure contains a non-node).  An initial
+    node outside the node list is closed too: its closure is itself plus
+    the closures of the nodes one silent edge away.
 
     Computed once per automaton: the result is kept on `aut` and returned
     again by later calls.
@@ -131,40 +206,49 @@ def close_automaton(aut: Automaton) -> Automaton:
         return aut._closed
     except AttributeError:
         pass
-    rank, ranked, closures = _closure_table(aut)
-    sets = {}
-    for cl in closures:
-        if cl not in sets:
-            sets[cl] = NodeSet(tuple(ranked[j] for j in cl))
-    nodes = tuple(sets[closures[rank[n]]] for n in aut.nodes)
+    rank, ranked, comp, closures, parts = _closure_table(aut)
+    order = sorted(range(len(closures)), key=closures.__getitem__)
+    cid = [0] * len(closures)
+    for i, c in enumerate(order):
+        cid[c] = i
+    sets = [NodeSet(tuple(map(ranked.__getitem__, closures[c]))) for c in order]
+    nodes = tuple(sets[cid[comp[rank[n]]]] for n in aut.nodes)
 
-    ns_out = [[] for _ in ranked]
+    witnessed = []
     for e in aut.edges:
         if e.action == SILENT:
             continue
         si = rank.get(e.source)
         di = rank.get(e.dest)
         if si is not None and di is not None:
-            ns_out[si].append((e.action, closures[di]))
-    found = set()
-    for src in sets:
-        for m in src:
-            for a, dst in ns_out[m]:
-                found.add((src, a, dst))
-    edges = tuple(Edge(sets[src], a, sets[dst]) for src, a, dst in
-                  sorted(found, key=lambda t: (t[0], action_key(t[1]), t[2])))
+            witnessed.append((comp[si], e.action, cid[comp[di]]))
+    actions = sorted({a for _, a, _ in witnessed}, key=action_key)
+    action_id = {a: i for i, a in enumerate(actions)}
+    # a closed edge from a component is the integer action id * k +
+    # destination id, so integer order is (action, destination) order
+    k = len(sets)
+    out = [set() for _ in closures]
+    for c, a, d in witnessed:
+        out[c].add(action_id[a] * k + d)
+    for c, took in enumerate(parts):
+        for d in took:
+            out[c] |= out[d]
+    edges = []
+    for c in order:
+        src = sets[cid[c]]
+        edges += [Edge(src, actions[t // k], sets[t % k]) for t in sorted(out[c])]
 
     ri = rank.get(aut.init)
     if ri is not None:
-        init = sets[closures[ri]]
+        init = sets[cid[comp[ri]]]
     else:
         seed = {aut.init}
         reached = set()
         for e in aut.edges:
             if e.action == SILENT and e.source in seed and e.dest in rank:
-                reached.update(closures[rank[e.dest]])
+                reached.update(closures[comp[rank[e.dest]]])
         init = NodeSet.from_iter([aut.init, *(ranked[j] for j in reached)])
-    closed = Automaton(nodes, edges, init)
+    closed = Automaton(nodes, tuple(edges), init)
     object.__setattr__(aut, "_closed", closed)
     return closed
 
@@ -189,6 +273,14 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     matched by an mc-edge from S with the same action whose destination
     relates to the destination node.  In a closure every member is a node
     of m, and the initial nodes are related iff m.init is a node of m.
+
+    The closed edges are indexed by source as (action, destination) ids.
+    A non-silent m-edge s -a-> d needs the id of (a, closed node of d),
+    which matches whenever d is a member of its closed node.  So each S
+    is checked with set operations over its members' edges: silent
+    destinations outside S, and needed ids that S's edges lack.  Only an
+    S that fails them is scanned edge by edge, so the report is the
+    scan's.
     """
     expected = close_automaton(m)
     if not (mc.nodes == expected.nodes and mc.edges == expected.edges
@@ -198,21 +290,44 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     if m.init not in m.nodes:
         return TauSimReport(0, False, (m.init, mc.init, None,
                                        "initial nodes are not related"))
+    closed_of = dict(zip(m.nodes, mc.nodes))
+    targets = {}        # (action, closed node) -> id
     m_out = {}
+    stays = {}          # node -> destinations of its silent edges
+    needs = {}          # node -> target ids of its non-silent edges
     for e in m.edges:
         m_out.setdefault(e.source, []).append(e)
-    mc_out = {}
-    for e in mc.edges:
-        mc_out.setdefault(e.source, []).append(e)
+        if e.action == SILENT:
+            stays.setdefault(e.source, []).append(e.dest)
+        else:
+            d = closed_of.get(e.dest)
+            # None, which no closed edge has, when no lookup can match
+            t = (targets.setdefault((e.action, d), len(targets))
+                 if d is not None and e.dest in d else None)
+            needs.setdefault(e.source, []).append(t)
+    has = {}            # closed node -> target ids of its edges
+    for e2 in mc.edges:
+        t = targets.get((e2.action, e2.dest))
+        if t is not None:
+            has.setdefault(e2.source, set()).add(t)
     checked = 0
     for s2 in dict.fromkeys(mc.nodes):
+        members = s2.members
+        leaving = set(chain.from_iterable(map(stays.get, members, repeat(()))))
+        leaving.difference_update(members)
+        if (not leaving
+                and has.get(s2, frozenset()).issuperset(chain.from_iterable(
+                    map(needs.get, members, repeat(()))))):
+            checked += len(members)
+            continue
+        s2_out = [e2 for e2 in mc.edges if e2.source == s2]
         for s1 in s2:
             checked += 1
             for e in m_out.get(s1, []):
                 if e.action == SILENT and e.dest in s2:
                     continue
                 if any(e2.action == e.action and e.dest in e2.dest
-                       for e2 in mc_out.get(s2, [])):
+                       for e2 in s2_out):
                     continue
                 return TauSimReport(checked, False, (s1, s2, e, "unmatched edge"))
     return TauSimReport(checked, True)

@@ -168,6 +168,41 @@ def render_path(sp: Path) -> str:
     return "/".join(reversed(parts)) or "@top"
 
 
+_SEGMENT_RANK = {t: i for i, t in enumerate(sorted(_SEGMENT, key=_SEGMENT.get))}
+
+
+def path_ranks(paths) -> dict:
+    """Integer ranks that order paths as their render_path strings do.
+
+    No segment name is a prefix of another and '@top' sorts before them
+    all, so that string order is a pre-order walk over segment sequences:
+    a path before its extensions, children in segment-name order.  The
+    ranks number a trie of the given paths' segment sequences in that
+    walk, without rendering.  Paths of different trees with equal
+    segments share a rank.  The result also ranks every path above a
+    given one.
+    """
+    trie = {TOP: 0}
+    kids = [{}]
+    for p in paths:
+        chain = []
+        while p not in trie:
+            chain.append(p)
+            p = p.up
+        t = trie[p]
+        for q in reversed(chain):
+            t = trie[q] = kids[t].setdefault(_SEGMENT_RANK[type(q)], len(kids))
+            if t == len(kids):
+                kids.append({})
+    order = [0] * len(kids)
+    stack = [0]
+    for i in range(len(kids)):
+        t = stack.pop()
+        order[t] = i
+        stack += [kids[t][s] for s in sorted(kids[t], reverse=True)]
+    return {p: order[t] for p, t in trie.items()}
+
+
 def render_cursor(cur: Cursor) -> str:
     arrow = "↓" if cur.entering else "↑"
     return f"{render_path(cur.loc.path)} {arrow}"

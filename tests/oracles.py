@@ -3,14 +3,20 @@
 The fixpoint closure (closure_step iterated by tau_closure) is the
 paper's definition of a node's silent closure, and closure_bfs is an
 independent breadth-first oracle.  Tests check the library's one ranked
-route, tauclose.close_automaton, against both.  position_renaming is the
-automaton that a positional JSON export re-imports as.  subterm_count is
-the recursive specification of the number of locations of a tree.
+route, tauclose.close_automaton, against both.  node_key is the rendered
+sort key that tauclose.node_order reproduces with integer path ranks, and
+tau_simulation_scan is the edge-scanning witness check that
+tauclose.check_tau_simulation answers with set lookups; both were the
+library's routes before and are kept as their specifications.
+position_renaming is the automaton that a positional JSON export
+re-imports as.  subterm_count is the recursive specification of the
+number of locations of a tree.
 """
 
 from zippersem.ast import Assign, Cond, Seq, Skip, Stmt, While
 from zippersem.automaton import SILENT, Automaton, Edge
-from zippersem.tauclose import NodeSet
+from zippersem.tauclose import NodeSet, TauSimReport, close_automaton
+from zippersem.zipper import Cursor, render_path
 
 
 def subterm_count(c: Stmt) -> int:
@@ -24,6 +30,18 @@ def subterm_count(c: Stmt) -> int:
     if isinstance(c, While):
         return 1 + subterm_count(c.body)
     raise TypeError(f"not a statement: {c!r}")
+
+
+def node_key(n):
+    """Canonical sort key: numbers numerically, then strings, then cursors
+    by (rendered path, flag), then null."""
+    if isinstance(n, Cursor):
+        return (2, render_path(n.loc.path), n.entering)
+    if isinstance(n, str):
+        return (1, n)
+    if n is None:
+        return (3,)
+    return (0, n)
 
 
 def closure_step(aut: Automaton, seed, x) -> frozenset:
@@ -76,3 +94,34 @@ def position_renaming(aut: Automaton) -> Automaton:
         ids.setdefault(n, len(ids))
     edges = tuple(Edge(ids[e.source], e.action, ids[e.dest]) for e in aut.edges)
     return Automaton(tuple(ids.values()), edges, ids[aut.init])
+
+
+def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
+    """The weak simulation witness check as a scan: each m-edge is matched
+    against every mc-edge of its related closed node."""
+    expected = close_automaton(m)
+    if not (mc.nodes == expected.nodes and mc.edges == expected.edges
+            and mc.init == expected.init):
+        return TauSimReport(0, False, (None, None, None,
+                                       "second automaton is not the closure of the first"))
+    if m.init not in m.nodes:
+        return TauSimReport(0, False, (m.init, mc.init, None,
+                                       "initial nodes are not related"))
+    m_out = {}
+    for e in m.edges:
+        m_out.setdefault(e.source, []).append(e)
+    mc_out = {}
+    for e in mc.edges:
+        mc_out.setdefault(e.source, []).append(e)
+    checked = 0
+    for s2 in dict.fromkeys(mc.nodes):
+        for s1 in s2:
+            checked += 1
+            for e in m_out.get(s1, []):
+                if e.action == SILENT and e.dest in s2:
+                    continue
+                if any(e2.action == e.action and e.dest in e2.dest
+                       for e2 in mc_out.get(s2, [])):
+                    continue
+                return TauSimReport(checked, False, (s1, s2, e, "unmatched edge"))
+    return TauSimReport(checked, True)

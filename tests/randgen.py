@@ -98,3 +98,52 @@ def random_automaton(rng, max_nodes=12, max_edges=30):
             action = AssignAction(rng.choice(NAMES), random_value(rng))
         edges.append(Edge(rng.choice(nodes), action, rng.choice(nodes)))
     return Automaton(nodes, tuple(edges), rng.choice(nodes))
+
+
+def random_silent_automaton(rng, max_nodes=24):
+    """Random automaton around one silent shape: self-loops, 2-cycles, one
+    giant silent cycle with chords, or a chain of silent cycles.  Node ids
+    are ints, strings or both; node entries may repeat, some edges leave
+    the node list or enter it from outside, and the initial node may be
+    foreign.  Not regular in general."""
+    n = rng.randint(1, max_nodes)
+    shape = rng.choice(["loops", "pairs", "giant", "chain"])
+    silent = []
+    if shape == "loops":
+        silent = [(i, i) for i in range(n) if rng.random() < 0.6]
+    elif shape == "pairs":
+        for i in range(0, n - 1, 2):
+            silent += [(i, i + 1), (i + 1, i)]
+    elif shape == "giant":
+        silent = [(i, (i + 1) % n) for i in range(n)]
+        silent += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 3)]
+    else:
+        start = 0
+        while start < n:
+            size = min(rng.randint(1, 4), n - start)
+            block = list(range(start, start + size))
+            silent += [(i, block[(k + 1) % size]) for k, i in enumerate(block)]
+            if start + size < n:
+                silent.append((rng.choice(block), start + size))
+            start += size
+    silent += [(rng.randrange(n), rng.randrange(n))
+               for _ in range(rng.randint(0, 3))]
+    kind = rng.choice(["int", "str", "mixed"])
+    name = [i if kind == "int" or (kind == "mixed" and i % 2) else f"n{i}"
+            for i in range(n)]
+    edges = [Edge(name[s], SILENT, name[d]) for s, d in silent]
+    for _ in range(rng.randint(0, 2 * n)):
+        edges.append(Edge(name[rng.randrange(n)],
+                          AssignAction(rng.choice(NAMES[:3]), random_value(rng)),
+                          name[rng.randrange(n)]))
+    for _ in range(rng.randint(0, 2)):
+        action = rng.choice([SILENT, AssignAction("a", TRUE)])
+        if rng.random() < 0.5:
+            edges.append(Edge(name[rng.randrange(n)], action, "out"))
+        else:
+            edges.append(Edge(99, action, name[rng.randrange(n)]))
+    rng.shuffle(edges)
+    nodes = name + [rng.choice(name) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(nodes)
+    init = 99 if rng.random() < 0.15 else rng.choice(name)
+    return Automaton(tuple(nodes), tuple(edges), init)

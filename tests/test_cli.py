@@ -41,6 +41,24 @@ def test_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_program_file_with_a_byte_order_mark_parses(tmp_path, capsys):
+    # some editors start UTF-8 files with U+FEFF
+    f = write(tmp_path, "bom.imp", "\ufeffx := true; skip\n")
+    assert main(["parse", f]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x := true; skip\n"
+    assert captured.err == ""
+
+
+def test_automaton_file_with_a_byte_order_mark_loads(tmp_path, capsys,
+                                                     fixtures_dir):
+    text = (fixtures_dir / "silent_fork.json").read_text(encoding="utf-8")
+    f = write(tmp_path, "bom.json", "\ufeff" + text)
+    assert main(["check", "tausim", "--automaton", f]) == 0
+    assert capsys.readouterr().out == \
+        "tausim: 7 related pairs checked, ok\n"
+
+
 def test_run_text_trace_and_status(tmp_path, capsys):
     f = write(tmp_path, "p.imp", "skip")
     assert main(["run", f]) == 0

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import position_renaming
 from randgen import random_automaton, random_program
@@ -24,6 +26,47 @@ LOOP = parse_program("while (true) { x := true; y := false }")
 
 def test_to_json_text_is_deterministic():
     assert to_json_text({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "\x00\x07\x1f\n\t\r\x7f",
+                     "non-ASCII: é, ✓, 𝄞, \u2028"]))
+
+# the keys of one dict share a type, since json.dumps sorts them
+_KEYS = st.sampled_from([st.text(), st.integers(), st.floats(), st.booleans(),
+                         st.none()])
+
+_VALUES = st.recursive(
+    _LEAVES | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | _KEYS.flatmap(lambda k: st.dictionaries(k, inner,
+                                                             max_size=5))),
+    max_leaves=25)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_VALUES)
+@example([1, True, 0, False])
+@example({"b": {}, "a": [], "c": [[], {}], "d": {"e": [{}]}})
+@example([None, 10**30, -0.0, 1e300, float("nan"), float("inf"), "\\\"\x01"])
+def test_to_json_text_writes_the_bytes_of_json_dumps(value):
+    expected = json.dumps(value, indent=2, sort_keys=True,
+                          ensure_ascii=False) + "\n"
+    assert to_json_text(value) == expected
+
+
+@pytest.mark.parametrize("value", [object(), [1, {2}], {"a": 1, 2: 3},
+                                   {(1,): 2}])
+def test_to_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    with pytest.raises(TypeError):
+        to_json_text(value)
 
 
 def test_action_json_roundtrip():

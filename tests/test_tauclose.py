@@ -2,13 +2,14 @@
 
 import random
 
-from oracles import closure_bfs, closure_step, tau_closure
-from randgen import random_automaton, random_program
+from oracles import (closure_bfs, closure_step, node_key, tau_closure,
+                     tau_simulation_scan)
+from randgen import random_automaton, random_program, random_silent_automaton
 from zippersem.ast import TRUE, parse_program
 from zippersem.automaton import (SILENT, AssignAction, Automaton, Edge,
                                  is_regular, program_automaton)
 from zippersem.tauclose import (NodeSet, action_key, check_tau_simulation,
-                                close_automaton, node_key)
+                                close_automaton, node_order)
 
 ALPHA = AssignAction("a", TRUE)
 BETA = AssignAction("b", TRUE)
@@ -124,10 +125,14 @@ def test_closed_cursor_members_keep_canonical_order():
 
 def test_three_way_agreement_on_random_automata():
     rng = random.Random(21)
-    for _ in range(150):
-        m = random_automaton(rng)
-        for n, via_bulk in zip(m.nodes, close_automaton(m).nodes):
+    automata = [random_automaton(rng) for _ in range(150)]
+    shaped = random.Random(28)
+    automata += [random_silent_automaton(shaped) for _ in range(300)]
+    for m in automata:
+        closed = close_automaton(m)
+        for n, via_bulk in zip(m.nodes, closed.nodes):
             assert tau_closure(m, n) == closure_bfs(m, n) == via_bulk
+        assert closed.init == tau_closure(m, m.init) == closure_bfs(m, m.init)
 
 
 def test_closure_step_is_monotone_and_extensive():
@@ -157,8 +162,12 @@ def test_closed_edges_match_the_candidate_product_filter():
     # brute-force oracle: enumerate every (closure, action, closure)
     # candidate and keep it iff a witness edge passes the filter
     rng = random.Random(24)
-    for _ in range(60):
-        m = random_automaton(rng, max_nodes=6, max_edges=10)
+    automata = [random_automaton(rng, max_nodes=6, max_edges=10)
+                for _ in range(60)]
+    shaped = random.Random(29)
+    automata += [random_silent_automaton(shaped, max_nodes=8)
+                 for _ in range(60)]
+    for m in automata:
         closures = {n: tau_closure(m, n) for n in set(m.nodes)}
         dest_closure = {e.dest: tau_closure(m, e.dest) for e in m.edges}
         actions = {e.action for e in m.edges if e.action != SILENT}
@@ -246,11 +255,85 @@ def test_ranked_pass_keeps_the_canonical_orders():
         m = random_automaton(rng, max_nodes=14)
         automata += [m, _with_string_ids(m)]
     automata += [program_automaton(random_program(rng)) for _ in range(60)]
+    shaped = random.Random(30)
+    automata += [random_silent_automaton(shaped) for _ in range(100)]
     for m in automata:
         closed = close_automaton(m)
+        assert len(set(closed.edges)) == len(closed.edges)
         for ns in closed.nodes:
             assert ns.members == NodeSet.from_iter(ns.members).members
         assert list(closed.edges) == sorted(
             closed.edges, key=lambda e: (members_key(e.source), action_key(e.action),
                                          members_key(e.dest)))
         assert closed.init == tau_closure(m, m.init)
+
+
+def test_node_order_is_the_rendered_path_order():
+    rng = random.Random(31)
+    for _ in range(500):
+        aut = program_automaton(random_program(rng))
+        nodes = list(dict.fromkeys(aut.nodes))
+        rng.shuffle(nodes)
+        assert sorted(nodes, key=node_order(nodes)) == sorted(nodes, key=node_key)
+
+
+def test_node_order_ties_cursors_of_two_programs_in_input_order():
+    first = program_automaton(parse_program(
+        "while (a) { x := true; if (b) { skip } else { y := null } }"))
+    second = program_automaton(parse_program(
+        "if (c) { while (a) { skip } } else { x := false; skip }"))
+    nodes = list(first.nodes + second.nodes)
+    ranked = sorted(nodes, key=node_order(nodes))
+    assert ranked == sorted(nodes, key=node_key)
+    # equal rendered paths: the first program's cursor comes first
+    assert ranked[0] is first.nodes[1] and ranked[1] is second.nodes[1]
+    mixed = Automaton(tuple(nodes), first.edges + second.edges, first.init)
+    for n, ns in zip(mixed.nodes, close_automaton(mixed).nodes):
+        assert set(ns) == set(tau_closure(mixed, n))
+
+
+def _tampered(m, rng):
+    """A copy of m whose stored closure is changed in one place, so that
+    it passes the check's comparison with close_automaton."""
+    mc = close_automaton(m)
+    nodes, edges = list(mc.nodes), list(mc.edges)
+    how = rng.choice(["drop edge", "other closure", "drop member", "add edge"])
+    if how == "drop edge" and edges:
+        del edges[rng.randrange(len(edges))]
+    elif how == "other closure":
+        nodes[rng.randrange(len(nodes))] = rng.choice(nodes)
+    elif how == "drop member":
+        # everywhere, so that edges lead to the smaller set
+        big = rng.choice(nodes)
+        small = NodeSet(big.members[1:])
+        nodes = [small if n is big else n for n in nodes]
+        edges = [Edge(small if e.source is big else e.source, e.action,
+                      small if e.dest is big else e.dest) for e in edges]
+    else:
+        edges.append(Edge(rng.choice(nodes), ALPHA, rng.choice(nodes)))
+    tampered = Automaton(tuple(nodes), tuple(edges), mc.init)
+    copy = Automaton(m.nodes, m.edges, m.init)
+    object.__setattr__(copy, "_closed", tampered)
+    return copy, tampered
+
+
+def test_witness_check_reports_as_the_scan_does():
+    rng = random.Random(32)
+    cases = []
+    for _ in range(150):
+        m = random_automaton(rng)
+        cases.append((m, close_automaton(m)))
+        s = random_silent_automaton(rng)
+        cases.append((s, close_automaton(s)))
+        cases.append(_tampered(rng.choice([m, s]), rng))
+        cases.append((m, Automaton(m.nodes, m.edges[:-1], m.init)))
+    for _ in range(50):
+        aut = program_automaton(random_program(rng))
+        cases.append((aut, close_automaton(aut)))
+        cases.append(_tampered(aut, rng))
+    failing = 0
+    for m, mc in cases:
+        report = check_tau_simulation(m, mc)
+        assert report == tau_simulation_scan(m, mc)
+        failing += not report.ok
+    assert failing > 100
