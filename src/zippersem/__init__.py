@@ -7,13 +7,13 @@ from .ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, Expr, Lit, Null,
                   parse_program, print_program)
 from .zipper import (TOP, CondElse, CondThen, Cursor, Location, Path, SeqLeft,
                      SeqRight, Top, WhileBody, advance, all_locations,
-                     cursors_of, reconstruct, reconstruct_loc, render_path)
+                     cursors_of, render_path)
 from .semantics import (STEP_LIMIT, STUCK, TERMINATED, Config, Trace,
                         eval_expr, is_terminal, run_trace, sem_step)
-from .automaton import (SILENT, Action, AssignAction, Automaton, Edge, Silent,
-                        SimulationReport, action_effect, action_of,
-                        check_simulation, edges_closed, edges_of, is_regular,
-                        nodes_closed, program_automaton, step_image)
+from .automaton import (SILENT, Automaton, Edge, SimulationReport,
+                        action_effect, action_of, check_simulation,
+                        edges_closed, edges_of, is_regular, nodes_closed,
+                        program_automaton, step_image)
 from .tauclose import NodeSet, TauSimReport, check_tau_simulation, close_automaton
 
 __version__ = "0.1.0"

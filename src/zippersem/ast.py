@@ -42,8 +42,10 @@ class HashConsed(metaclass=_Interning):
     points, positions in that tree, all the time.  Hash-consing (Filliâtre
     and Conchon, Type-Safe Modular Hash-Consing, 2006) makes structurally
     equal values one object, so equality is identity, hashing is O(1), and
-    a zipper step that rebuilds a parent gets the original node back.  The
-    table of live values is weak: dropping a program frees its nodes.
+    a zipper step that rebuilds a parent gets the original node back.  An
+    automaton edge's action is an Assign node itself, so actions compare
+    and hash the same way.  The table of live values is weak: dropping a
+    program frees its nodes.
     Subclasses are frozen dataclasses with eq=False and repr=False.
     """
 

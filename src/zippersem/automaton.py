@@ -11,33 +11,19 @@ are present regardless of state.
 from dataclasses import dataclass
 from typing import Any
 
-from .ast import Assign, Cond, Seq, Skip, Stmt, Value, While, value_literal
+from .ast import Assign, Cond, Seq, Skip, Stmt, While, value_literal
 from .zipper import (TOP, CondElse, CondThen, Cursor, Location, SeqLeft, Top,
                      WhileBody, advance, all_locations, cursors_of)
 
 
-class Action:
-    """Edge label: silent or an assignment."""
+# an edge's action: the entered Assign node, or SILENT for any other step
+SILENT = None
 
 
-@dataclass(frozen=True)
-class Silent(Action):
-    pass
-
-
-@dataclass(frozen=True)
-class AssignAction(Action):
-    name: str
-    value: Value
-
-
-SILENT = Silent()
-
-
-def render_action(a: Action) -> str:
-    if isinstance(a, Silent):
+def render_action(a) -> str:
+    if a is SILENT:
         return "τ"
-    if isinstance(a, AssignAction):
+    if isinstance(a, Assign):
         return f"{a.name}:={value_literal(a.value)}"
     raise TypeError(f"not an action: {a!r}")
 
@@ -45,7 +31,7 @@ def render_action(a: Action) -> str:
 @dataclass(frozen=True)
 class Edge:
     source: Any
-    action: Action
+    action: Assign | None
     dest: Any
 
 
@@ -66,11 +52,11 @@ class Automaton:
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
-def action_effect(a: Action, s: dict) -> dict:
+def action_effect(a, s: dict) -> dict:
     """State after the action: silent leaves it alone, assignment binds."""
-    if isinstance(a, Silent):
+    if a is SILENT:
         return s
-    if isinstance(a, AssignAction):
+    if isinstance(a, Assign):
         return {**s, a.name: a.value}
     raise TypeError(f"not an action: {a!r}")
 
@@ -108,10 +94,11 @@ def step_image(cur: Cursor) -> list[Cursor]:
     return [advance(focus, path)]
 
 
-def action_of(cur: Cursor) -> Action:
-    """Entering an assignment is the only observable step."""
+def action_of(cur: Cursor) -> Assign | None:
+    """Entering an assignment is the only observable step; its action is
+    the Assign node itself."""
     if cur.entering and isinstance(cur.loc.focus, Assign):
-        return AssignAction(cur.loc.focus.name, cur.loc.focus.value)
+        return cur.loc.focus
     return SILENT
 
 

@@ -155,7 +155,7 @@ def cmd_check(args):
     aut = _input_automaton(args)
     if not is_regular(aut):
         print("warning: input automaton is not regular", file=sys.stderr)
-    report = check_tau_simulation(aut, close_automaton(aut))
+    report = check_tau_simulation(aut)
     print(f"tausim: {report.checked_pairs} related pairs checked, "
           f"{'ok' if report.ok else 'FAIL'}")
     if not report.ok:

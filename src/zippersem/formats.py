@@ -15,10 +15,9 @@ pure-Python indenting encoder, and joins lists of plain ints at C speed.
 
 from json.encoder import encode_basestring
 
-from .ast import (brief_repr, is_valid_name, parse_value_literal,
+from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
                   print_program, value_literal)
-from .automaton import (SILENT, AssignAction, Automaton, Edge, Silent,
-                        render_action)
+from .automaton import SILENT, Automaton, Edge, render_action
 from .semantics import Trace
 from .tauclose import NodeSet
 from .zipper import Cursor, render_cursor, render_path
@@ -134,9 +133,9 @@ def to_json_text(obj) -> str:
 
 
 def action_to_json(a) -> dict:
-    if isinstance(a, Silent):
+    if a is SILENT:
         return {"kind": "none"}
-    if isinstance(a, AssignAction):
+    if isinstance(a, Assign):
         return {"kind": "assign", "var": a.name, "val": value_literal(a.value)}
     raise TypeError(f"not an action: {a!r}")
 
@@ -147,7 +146,7 @@ def action_from_json(obj):
         return SILENT
     var = obj.get("var") if kind == "assign" else None
     if isinstance(var, str) and is_valid_name(var):
-        return AssignAction(var, parse_value_literal(obj["val"]))
+        return Assign(var, parse_value_literal(obj["val"]))
     raise ValueError(f"bad action: {brief_repr(obj)}")
 
 

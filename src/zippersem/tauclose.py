@@ -21,10 +21,9 @@ integers.  The paper's fixpoint definition, a breadth-first search and
 the rendered sort key live in the tests as oracles, which pin this route
 against them.
 
-The closed automaton is kept on the automaton it was computed from, and
-a second close_automaton call returns it as it is.  So when
-check_tau_simulation closes its input to verify mc, it reuses the closure
-the caller already made, and `zippersem check tausim` closes once.
+check_tau_simulation closes its input itself, so the closure it checks
+is the one close_automaton computes, and `zippersem check tausim` closes
+once.
 """
 
 from dataclasses import dataclass
@@ -160,7 +159,7 @@ def _closure_table(aut: Automaton):
     rank = {n: r for r, n in enumerate(ranked)}
     succ = [[] for _ in ranked]
     for e in aut.edges:
-        if e.action == SILENT:
+        if e.action is SILENT:
             si = rank.get(e.source)
             di = rank.get(e.dest)
             if si is not None and di is not None:
@@ -198,14 +197,7 @@ def close_automaton(aut: Automaton) -> Automaton:
     destinations because their closure contains a non-node).  An initial
     node outside the node list is closed too: its closure is itself plus
     the closures of the nodes one silent edge away.
-
-    Computed once per automaton: the result is kept on `aut` and returned
-    again by later calls.
     """
-    try:
-        return aut._closed
-    except AttributeError:
-        pass
     rank, ranked, comp, closures, parts = _closure_table(aut)
     order = sorted(range(len(closures)), key=closures.__getitem__)
     cid = [0] * len(closures)
@@ -216,7 +208,7 @@ def close_automaton(aut: Automaton) -> Automaton:
 
     witnessed = []
     for e in aut.edges:
-        if e.action == SILENT:
+        if e.action is SILENT:
             continue
         si = rank.get(e.source)
         di = rank.get(e.dest)
@@ -245,12 +237,10 @@ def close_automaton(aut: Automaton) -> Automaton:
         seed = {aut.init}
         reached = set()
         for e in aut.edges:
-            if e.action == SILENT and e.source in seed and e.dest in rank:
+            if e.action is SILENT and e.source in seed and e.dest in rank:
                 reached.update(closures[comp[rank[e.dest]]])
         init = NodeSet.from_iter([aut.init, *(ranked[j] for j in reached)])
-    closed = Automaton(nodes, tuple(edges), init)
-    object.__setattr__(aut, "_closed", closed)
-    return closed
+    return Automaton(nodes, tuple(edges), init)
 
 
 @dataclass
@@ -261,18 +251,17 @@ class TauSimReport:
     violation: tuple | None = None  # (node, node set, Edge or None, reason)
 
 
-def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
-    """Check that membership witnesses a weak simulation of m by mc.
+def check_tau_simulation(m: Automaton) -> TauSimReport:
+    """Check that membership witnesses a weak simulation of m by its
+    closure mc = close_automaton(m), which this computes once.
 
-    mc must be close_automaton(m), verified first by comparing nodes,
-    edges and initial node; closed nodes are interned, so that is a walk
-    over pointers.  The relation relates s to S iff s is a node of m, S a
-    node of mc, and s is a member of S.  It must relate the initial nodes,
-    and for every related pair and every m-edge from s: a silent edge's
-    destination must stay related to S itself, a non-silent edge must be
-    matched by an mc-edge from S with the same action whose destination
-    relates to the destination node.  In a closure every member is a node
-    of m, and the initial nodes are related iff m.init is a node of m.
+    The relation relates s to S iff s is a node of m, S a node of mc, and
+    s is a member of S.  It must relate the initial nodes, and for every
+    related pair and every m-edge from s: a silent edge's destination must
+    stay related to S itself, a non-silent edge must be matched by an
+    mc-edge from S with the same action whose destination relates to the
+    destination node.  In a closure every member is a node of m, and the
+    initial nodes are related iff m.init is a node of m.
 
     The closed edges are indexed by source as (action, destination) ids.
     A non-silent m-edge s -a-> d needs the id of (a, closed node of d),
@@ -282,11 +271,7 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     S that fails them is scanned edge by edge, so the report is the
     scan's.
     """
-    expected = close_automaton(m)
-    if not (mc.nodes == expected.nodes and mc.edges == expected.edges
-            and mc.init == expected.init):
-        return TauSimReport(0, False, (None, None, None,
-                                       "second automaton is not the closure of the first"))
+    mc = close_automaton(m)
     if m.init not in m.nodes:
         return TauSimReport(0, False, (m.init, mc.init, None,
                                        "initial nodes are not related"))
@@ -297,7 +282,7 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
     needs = {}          # node -> target ids of its non-silent edges
     for e in m.edges:
         m_out.setdefault(e.source, []).append(e)
-        if e.action == SILENT:
+        if e.action is SILENT:
             stays.setdefault(e.source, []).append(e.dest)
         else:
             d = closed_of.get(e.dest)
@@ -324,7 +309,7 @@ def check_tau_simulation(m: Automaton, mc: Automaton) -> TauSimReport:
         for s1 in s2:
             checked += 1
             for e in m_out.get(s1, []):
-                if e.action == SILENT and e.dest in s2:
+                if e.action is SILENT and e.dest in s2:
                     continue
                 if any(e2.action == e.action and e.dest in e2.dest
                        for e2 in s2_out):

@@ -94,22 +94,12 @@ def _plug(c: Stmt, frame: Path) -> Stmt:
     raise TypeError(f"not a path: {frame!r}")
 
 
-def reconstruct(c: Stmt, sp: Path) -> Stmt:
-    """Plug the focus back into its context, yielding the whole tree."""
-    while not isinstance(sp, Top):
-        c, sp = _plug(c, sp), sp.up
-    return c
-
-
-def reconstruct_loc(loc: Location) -> Stmt:
-    return reconstruct(loc.focus, loc.path)
-
-
 def all_locations(c: Stmt, sp: Path = TOP) -> list[Location]:
     """Every location of the tree under `c`, in pre-order.
 
-    The result has exactly one entry per statement subterm; reconstructing
-    any entry gives back reconstruct(c, sp).
+    The result has exactly one entry per statement subterm; plugging any
+    entry's focus back into its path, frame by frame, rebuilds the tree
+    that plugging `c` into `sp` does.
     """
     out = []
     stack = [(c, sp)]

@@ -10,13 +10,16 @@ tauclose.check_tau_simulation answers with set lookups; both were the
 library's routes before and are kept as their specifications.
 position_renaming is the automaton that a positional JSON export
 re-imports as.  subterm_count is the recursive specification of the
-number of locations of a tree.
+number of locations of a tree, and reconstruct plugs a focus back into
+its path frame by frame: the zipper law of criterion 3 is that every
+location of a tree reconstructs to that tree.
 """
 
 from zippersem.ast import Assign, Cond, Seq, Skip, Stmt, While
 from zippersem.automaton import SILENT, Automaton, Edge
-from zippersem.tauclose import NodeSet, TauSimReport, close_automaton
-from zippersem.zipper import Cursor, render_path
+from zippersem.tauclose import NodeSet, TauSimReport
+from zippersem.zipper import (CondElse, CondThen, Cursor, Location, Path,
+                              SeqLeft, SeqRight, Top, WhileBody, render_path)
 
 
 def subterm_count(c: Stmt) -> int:
@@ -30,6 +33,29 @@ def subterm_count(c: Stmt) -> int:
     if isinstance(c, While):
         return 1 + subterm_count(c.body)
     raise TypeError(f"not a statement: {c!r}")
+
+
+def reconstruct(c: Stmt, sp: Path) -> Stmt:
+    """Plug the focus back into its context, yielding the whole tree."""
+    while not isinstance(sp, Top):
+        if isinstance(sp, SeqLeft):
+            c = Seq(c, sp.after)
+        elif isinstance(sp, SeqRight):
+            c = Seq(sp.before, c)
+        elif isinstance(sp, CondThen):
+            c = Cond(sp.test, c, sp.orelse)
+        elif isinstance(sp, CondElse):
+            c = Cond(sp.test, sp.then_branch, c)
+        elif isinstance(sp, WhileBody):
+            c = While(sp.test, c)
+        else:
+            raise TypeError(f"not a path: {sp!r}")
+        sp = sp.up
+    return c
+
+
+def reconstruct_loc(loc: Location) -> Stmt:
+    return reconstruct(loc.focus, loc.path)
 
 
 def node_key(n):
@@ -97,13 +123,9 @@ def position_renaming(aut: Automaton) -> Automaton:
 
 
 def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
-    """The weak simulation witness check as a scan: each m-edge is matched
-    against every mc-edge of its related closed node."""
-    expected = close_automaton(m)
-    if not (mc.nodes == expected.nodes and mc.edges == expected.edges
-            and mc.init == expected.init):
-        return TauSimReport(0, False, (None, None, None,
-                                       "second automaton is not the closure of the first"))
+    """The weak simulation witness check of m against its closure mc as a
+    scan: each m-edge is matched against every mc-edge of its related
+    closed node."""
     if m.init not in m.nodes:
         return TauSimReport(0, False, (m.init, mc.init, None,
                                        "initial nodes are not related"))
@@ -118,7 +140,7 @@ def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
         for s1 in s2:
             checked += 1
             for e in m_out.get(s1, []):
-                if e.action == SILENT and e.dest in s2:
+                if e.action is SILENT and e.dest in s2:
                     continue
                 if any(e2.action == e.action and e.dest in e2.dest
                        for e2 in mc_out.get(s2, [])):

@@ -7,7 +7,7 @@ the seed alone.
 from oracles import subterm_count
 from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
                            Var, While)
-from zippersem.automaton import SILENT, AssignAction, Automaton, Edge
+from zippersem.automaton import SILENT, Automaton, Edge
 
 NAMES = ["a", "b", "c", "x", "y", "z"]
 
@@ -95,7 +95,7 @@ def random_automaton(rng, max_nodes=12, max_edges=30):
         if rng.random() < 0.45:
             action = SILENT
         else:
-            action = AssignAction(rng.choice(NAMES), random_value(rng))
+            action = Assign(rng.choice(NAMES), random_value(rng))
         edges.append(Edge(rng.choice(nodes), action, rng.choice(nodes)))
     return Automaton(nodes, tuple(edges), rng.choice(nodes))
 
@@ -134,10 +134,10 @@ def random_silent_automaton(rng, max_nodes=24):
     edges = [Edge(name[s], SILENT, name[d]) for s, d in silent]
     for _ in range(rng.randint(0, 2 * n)):
         edges.append(Edge(name[rng.randrange(n)],
-                          AssignAction(rng.choice(NAMES[:3]), random_value(rng)),
+                          Assign(rng.choice(NAMES[:3]), random_value(rng)),
                           name[rng.randrange(n)]))
     for _ in range(rng.randint(0, 2)):
-        action = rng.choice([SILENT, AssignAction("a", TRUE)])
+        action = rng.choice([SILENT, Assign("a", TRUE)])
         if rng.random() < 0.5:
             edges.append(Edge(name[rng.randrange(n)], action, "out"))
         else:

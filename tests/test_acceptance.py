@@ -13,16 +13,17 @@ from contextlib import contextmanager
 import pytest
 
 import acceptance_report
-from oracles import closure_bfs, closure_step, subterm_count, tau_closure
+from oracles import (closure_bfs, closure_step, reconstruct_loc,
+                     subterm_count, tau_closure)
 from randgen import random_automaton, random_program, random_state
-from zippersem.ast import TRUE
-from zippersem.automaton import (SILENT, AssignAction, action_of,
-                                 check_simulation, edges_closed, is_regular,
-                                 nodes_closed, program_automaton)
+from zippersem.ast import TRUE, Assign
+from zippersem.automaton import (SILENT, action_of, check_simulation,
+                                 edges_closed, is_regular, nodes_closed,
+                                 program_automaton)
 from zippersem.cli import main as cli_main
 from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED, run_trace
 from zippersem.tauclose import check_tau_simulation, close_automaton
-from zippersem.zipper import Top, advance, all_locations, reconstruct_loc
+from zippersem.zipper import Top, advance, all_locations
 
 _T0 = time.perf_counter()
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -76,9 +77,9 @@ def test_criterion_1_golden_loop_trace(tmp_path, capsys):
 def test_criterion_2_golden_closure(silent_fork):
     with criterion(2, "silent-fork closure matches the golden sets and "
                       "edges in under 1s"):
-        alpha = AssignAction("a", TRUE)
-        beta = AssignAction("b", TRUE)
-        gamma = AssignAction("c", TRUE)
+        alpha = Assign("a", TRUE)
+        beta = Assign("b", TRUE)
+        gamma = Assign("c", TRUE)
         t0 = time.perf_counter()
         closed = close_automaton(silent_fork)
         elapsed = time.perf_counter() - t0
@@ -161,10 +162,10 @@ def test_criterion_7_membership_witnesses_the_simulation(automata_corpus,
     with criterion(7, "membership witness verified against the closure of "
                       "500 random automata and 1000 compiled programs"):
         for m in automata_corpus:
-            assert check_tau_simulation(m, close_automaton(m)).ok
+            assert check_tau_simulation(m).ok
         for c in program_corpus:
             aut = program_automaton(c)
-            assert check_tau_simulation(aut, close_automaton(aut)).ok
+            assert check_tau_simulation(aut).ok
 
 
 def test_criterion_8_observable_traces_survive_closure():

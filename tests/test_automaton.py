@@ -6,11 +6,10 @@ from oracles import subterm_count
 from randgen import random_program, random_state
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var,
                            parse_program)
-from zippersem.automaton import (SILENT, AssignAction, Automaton, Edge,
-                                 action_effect, action_of, check_simulation,
-                                 edges_closed, edges_of, is_regular,
-                                 nodes_closed, program_automaton,
-                                 render_action, step_image)
+from zippersem.automaton import (SILENT, Automaton, Edge, action_effect,
+                                 action_of, check_simulation, edges_closed,
+                                 edges_of, is_regular, nodes_closed,
+                                 program_automaton, render_action, step_image)
 from zippersem.zipper import (TOP, Cursor, Location, all_locations,
                               render_path)
 
@@ -24,15 +23,15 @@ def _cursor(c, entering=True, path=TOP):
 def test_action_effect():
     s = {"x": TRUE}
     assert action_effect(SILENT, s) == {"x": TRUE}
-    assert action_effect(AssignAction("y", FALSE), s) == {"x": TRUE, "y": FALSE}
-    assert action_effect(AssignAction("x", FALSE), s) == {"x": FALSE}
+    assert action_effect(Assign("y", FALSE), s) == {"x": TRUE, "y": FALSE}
+    assert action_effect(Assign("x", FALSE), s) == {"x": FALSE}
     # the input state is never mutated
     assert s == {"x": TRUE}
 
 
 def test_render_action():
     assert render_action(SILENT) == "τ"
-    assert render_action(AssignAction("x", TRUE)) == "x:=true"
+    assert render_action(Assign("x", TRUE)) == "x:=true"
 
 
 def test_step_image_examples():
@@ -54,10 +53,19 @@ def test_step_image_sizes():
 
 
 def test_action_of():
-    assert action_of(_cursor(Assign("x", TRUE))) == AssignAction("x", TRUE)
-    assert action_of(_cursor(Assign("x", TRUE), entering=False)) == SILENT
-    assert action_of(_cursor(Skip())) == SILENT
-    assert action_of(_cursor(LOOP)) == SILENT
+    assert action_of(_cursor(Assign("x", TRUE))) is Assign("x", TRUE)
+    assert action_of(_cursor(Assign("x", TRUE), entering=False)) is SILENT
+    assert action_of(_cursor(Skip())) is SILENT
+    assert action_of(_cursor(LOOP)) is SILENT
+    # an entering assignment's action is the program's own Assign node
+    rng = random.Random(12)
+    for _ in range(200):
+        for loc in all_locations(random_program(rng)):
+            for c in (Cursor(loc, True), Cursor(loc, False)):
+                if c.entering and isinstance(loc.focus, Assign):
+                    assert action_of(c) is c.loc.focus
+                else:
+                    assert action_of(c) is SILENT
 
 
 def test_edges_of_matches_step_image():

@@ -7,6 +7,7 @@ an independent transcription.
 
 import random
 
+from oracles import reconstruct_loc
 from randgen import random_program, random_state
 from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
                            Var, While, parse_program)
@@ -14,7 +15,7 @@ from zippersem.automaton import action_effect, action_of, step_image
 from zippersem.semantics import (STEP_LIMIT, STUCK, TERMINATED, Config,
                                  eval_expr, is_terminal, run_trace, sem_step)
 from zippersem.zipper import (TOP, Cursor, Location, Top, all_locations,
-                              cursors_of, reconstruct_loc, render_path)
+                              cursors_of, render_path)
 
 LOOP = parse_program("while (true) { x := true; y := false }")
 

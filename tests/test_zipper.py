@@ -2,14 +2,14 @@
 
 import random
 
-from oracles import subterm_count
+from oracles import reconstruct, reconstruct_loc, subterm_count
 from randgen import random_program
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var, While,
                            parse_program)
 from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, Location,
                               SeqLeft, SeqRight, Top, WhileBody, advance,
-                              all_locations, cursors_of, reconstruct,
-                              reconstruct_loc, render_cursor, render_path)
+                              all_locations, cursors_of, render_cursor,
+                              render_path)
 
 LOOP = parse_program("while (e) { x := true; y := false }")
 A1 = Assign("x", TRUE)
