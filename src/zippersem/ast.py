@@ -21,7 +21,14 @@ import re
 import reprlib
 import weakref
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
+
+
+def _forget(key, ref):
+    """Drop a dead node's entry, unless a newer node holds the key now."""
+    if HashConsed._live.get(key) is ref:
+        del HashConsed._live[key]
 
 
 class _Interning(type):
@@ -29,9 +36,13 @@ class _Interning(type):
 
     def __call__(cls, *values):
         key = (cls, *values)
-        node = HashConsed._live.get(key)
-        if node is None:
-            node = HashConsed._live[key] = super().__call__(*values)
+        ref = HashConsed._live.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = super().__call__(*values)
+        HashConsed._live[key] = weakref.ref(node, partial(_forget, key))
         return node
 
 
@@ -44,12 +55,13 @@ class HashConsed(metaclass=_Interning):
     equal values one object, so equality is identity, hashing is O(1), and
     a zipper step that rebuilds a parent gets the original node back.  An
     automaton edge's action is an Assign node itself, so actions compare
-    and hash the same way.  The table of live values is weak: dropping a
-    program frees its nodes.
+    and hash the same way.  The table of live values maps each key to a
+    weak reference, so dropping a program frees its nodes, and a dead
+    node's reference removes its own entry.
     Subclasses are frozen dataclasses with eq=False and repr=False.
     """
 
-    _live = weakref.WeakValueDictionary()
+    _live = {}
 
     def __repr__(self):
         """The dataclass repr, built on a stack so that deep trees print."""

@@ -226,14 +226,26 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Built on the first call, not at import, and reused: parse_args makes a
+    # fresh Namespace and no default is mutable, so calls share no state.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
-    if getattr(args, "file", True) is None and not getattr(args, "automaton", None):
+    automaton = getattr(args, "automaton", None)
+    if args.file is None and not automaton:
         parser.error(f"{args.command}: need a program file or --automaton")
-    if getattr(args, "automaton", None) and args.command == "check" \
+    if automaton and args.command == "check" \
             and args.kind in ("sim", "closure"):
         parser.error("check sim/closure work on programs, not --automaton")
+    if automaton and args.file is not None:
+        parser.error(f"{args.command}: give a program file or --automaton, "
+                     "not both")
     if getattr(args, "max_steps", 0) < 0:
         parser.error("--max-steps must not be negative")
     try:

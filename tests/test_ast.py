@@ -193,6 +193,34 @@ def test_dropped_programs_leave_no_live_nodes():
     assert len(HashConsed._live) == before
 
 
+def test_interning_table_drops_entries_as_nodes_die():
+    gc.collect()
+    gc.disable()  # reference counting alone must empty the table
+    try:
+        before = len(HashConsed._live)
+        nodes = [Var(f"fresh{i}") for i in range(10000)]
+        assert len(HashConsed._live) == before + 10000
+        del nodes
+        assert len(HashConsed._live) == before
+        # an equal node built after the old one died is interned again
+        again = Var("fresh7")
+        assert Var("fresh7") is again
+        assert len(HashConsed._live) == before + 1
+        # a dead node's reference must not remove a newer entry for its key
+        old = Var("stale")
+        stale = HashConsed._live.pop((Var, "stale"))
+        new = Var("stale")
+        assert new is not old
+        del old
+        assert stale() is None
+        assert HashConsed._live[(Var, "stale")]() is new
+        assert Var("stale") is new
+        del again, new
+        assert len(HashConsed._live) == before
+    finally:
+        gc.enable()
+
+
 def test_roundtrip_on_random_derivable_programs():
     rng = random.Random(101)
     for _ in range(300):

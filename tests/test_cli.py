@@ -177,6 +177,21 @@ def test_tauclose_requires_an_input(capsys):
     assert exc.value.code == 2
 
 
+def test_a_program_file_and_automaton_together_exit_2(tmp_path, capsys,
+                                                     fixtures_dir):
+    f = write(tmp_path, "loop.imp", LOOP_SRC)
+    fork = str(fixtures_dir / "silent_fork.json")
+    for argv in (["tauclose", f, "--automaton", fork],
+                 ["check", "regular", f, "--automaton", fork],
+                 ["check", "tausim", f, "--automaton", fork]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give a program file or --automaton, not both" in captured.err
+
+
 def test_tauclose_rejects_malformed_json(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{not json")
     assert main(["tauclose", "--automaton", bad]) == 2
@@ -464,3 +479,55 @@ def test_loader_errors_echo_a_bounded_value(tmp_path, capsys):
     assert main(["run", prog, "--state", f"x={literal}"]) == 2
     assert capsys.readouterr().err == (
         f"error: expected one of true, false, null: {literal!r}\n")
+
+
+def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch,
+                                   fixtures_dir):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    loop = write(tmp_path, "loop.imp", LOOP_SRC)
+    stuck = write(tmp_path, "stuck.imp", "while (u) { skip }")
+    fork = str(fixtures_dir / "silent_fork.json")
+    out = tmp_path / "out.txt"
+    argvs = [
+        ["parse", loop], ["parse", loop, "--ast"],
+        ["run", loop, "--max-steps", "7"],
+        ["run", loop, "--state", "x=null,y=true", "--max-steps", "5",
+         "--trace-format", "json"],
+        ["run", stuck], ["run", stuck, "--state", "u=false"],
+        ["compile", loop], ["compile", loop, "--format", "dot", "--numbered"],
+        ["compile", loop, "--numbered", "-o", str(out)],
+        ["tauclose", loop], ["tauclose", "--automaton", fork, "-o", str(out)],
+        ["tauclose", "--automaton", fork, "--format", "dot"],
+        ["check", "sim", loop, "--max-steps", "30", "--state", "x=false"],
+        ["check", "closure", loop], ["check", "regular", loop],
+        ["check", "regular", "--automaton", fork],
+        ["check", "tausim", loop], ["check", "tausim", "--automaton", fork],
+        ["frobnicate", loop], ["run", loop, "--max-steps", "-1"],
+        ["tauclose"], ["check", "tausim"],
+        ["check", "sim", "--automaton", fork],
+        ["tauclose", loop, "--automaton", fork],
+    ]
+
+    def outcome(argv):
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        return code, captured.out, captured.err, written
+
+    first = [outcome(argv) for argv in argvs]
+    second = [outcome(argv) for argv in reversed(argvs)][::-1]
+    assert first == second
+    assert {code for code, *_ in first} == {0, 2, 3, 4}
+    assert built == [1]
