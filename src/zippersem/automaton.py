@@ -9,7 +9,7 @@ are present regardless of state.
 """
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .ast import Assign, Cond, Seq, Skip, Stmt, While, value_literal
 from .zipper import (TOP, CondElse, CondThen, Cursor, Location, SeqLeft, Top,
@@ -28,8 +28,9 @@ def render_action(a) -> str:
     raise TypeError(f"not an action: {a!r}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A labelled transition.  A tuple, for cheap construction: never hand
+    one to a JSON writer as a value, which would print it as a list."""
     source: Any
     action: Assign | None
     dest: Any

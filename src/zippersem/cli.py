@@ -79,7 +79,7 @@ def cmd_run(args):
     state = _parse_state(args.state)
     trace = run_trace(c, state, args.max_steps)
     if args.trace_format == "json":
-        sys.stdout.write(formats.to_json_text(formats.trace_json(trace)))
+        sys.stdout.write(formats.trace_json_text(trace))
         print(f"status: {trace.status}", file=sys.stderr)
     else:
         sys.stdout.write(formats.trace_text(trace))
@@ -97,9 +97,9 @@ def cmd_compile(args):
                  if args.numbered else None)
         text = formats.automaton_dot(aut, label)
     elif args.numbered:
-        text = formats.to_json_text(formats.generic_automaton_json(aut))
+        text = formats.generic_automaton_json_text(aut)
     else:
-        text = formats.to_json_text(formats.program_automaton_json(aut))
+        text = formats.program_automaton_json_text(aut)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -118,7 +118,7 @@ def cmd_tauclose(args):
     if args.format == "dot":
         text = formats.closed_automaton_dot(base, closed)
     else:
-        text = formats.to_json_text(formats.closed_automaton_json(base, closed))
+        text = formats.closed_automaton_json_text(base, closed)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -186,7 +186,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--ast", action="store_true",
                    help="print the syntax tree instead of concrete syntax")
-    p.set_defaults(func=cmd_parse)
+    p.set_defaults(func=cmd_parse, parser=p)
 
     p = sub.add_parser("run", help="run a program and print the trace")
     p.add_argument("file")
@@ -194,7 +194,7 @@ def build_parser():
                    help="initial state, e.g. x=true,y=null")
     p.add_argument("--max-steps", type=int, default=10000)
     p.add_argument("--trace-format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, parser=p)
 
     p = sub.add_parser("compile", help="compile a program to its automaton")
     p.add_argument("file")
@@ -203,7 +203,7 @@ def build_parser():
                    help='JSON nodes carry {"id", "label"}; DOT labels '
                         'read "id: rendering"')
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_compile)
+    p.set_defaults(func=cmd_compile, parser=p)
 
     p = sub.add_parser("tauclose",
                        help="close a program automaton or a JSON automaton "
@@ -212,16 +212,20 @@ def build_parser():
     p.add_argument("--automaton", help="automaton JSON file instead of a program")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_tauclose)
+    p.set_defaults(func=cmd_tauclose, parser=p)
 
     p = sub.add_parser("check", help="run one of the property checkers")
-    p.add_argument("kind", choices=["sim", "closure", "regular", "tausim"])
-    p.add_argument("file", nargs="?")
-    p.add_argument("--automaton",
-                   help="automaton JSON file (regular and tausim only)")
-    p.add_argument("--state", default="")
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.set_defaults(func=cmd_check)
+    # one parser per kind, so that a file after --automaton is still the
+    # kind's file argument, as it is for tauclose
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("sim", "closure", "regular", "tausim"):
+        k = kinds.add_parser(kind)
+        k.add_argument("file", nargs="?")
+        k.add_argument("--automaton",
+                       help="automaton JSON file (regular and tausim only)")
+        k.add_argument("--state", default="")
+        k.add_argument("--max-steps", type=int, default=10000)
+        k.set_defaults(func=cmd_check, parser=k)
 
     return parser
 
@@ -231,21 +235,21 @@ _parser = None
 
 def main(argv=None) -> int:
     # Built on the first call, not at import, and reused: parse_args makes a
-    # fresh Namespace and no default is mutable, so calls share no state.
+    # fresh Namespace and no default is ever mutated, so calls share no state.
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
-    args = parser.parse_args(argv)
+    args = _parser.parse_args(argv)
+    # errors go through the subcommand's parser, whose usage names it
+    parser = args.parser
     automaton = getattr(args, "automaton", None)
     if args.file is None and not automaton:
-        parser.error(f"{args.command}: need a program file or --automaton")
+        parser.error("need a program file or --automaton")
     if automaton and args.command == "check" \
             and args.kind in ("sim", "closure"):
         parser.error("check sim/closure work on programs, not --automaton")
     if automaton and args.file is not None:
-        parser.error(f"{args.command}: give a program file or --automaton, "
-                     "not both")
+        parser.error("give a program file or --automaton, not both")
     if getattr(args, "max_steps", 0) < 0:
         parser.error("--max-steps must not be negative")
     try:

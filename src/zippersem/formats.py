@@ -2,17 +2,20 @@
 generic integer-noded automaton shape.
 
 Node rendering lives here: render_node prints cursors, closures and plain
-ids.  One writer builds every automaton JSON shape; the shapes differ only
-in the fields each node carries besides its id.  JSON node ids and DOT
+ids.  One writer, automaton_json_text, lays out every automaton JSON
+shape; the shapes differ only in their node rows.  JSON node ids and DOT
 node names are positions in the node list, so exports are deterministic
 and re-import as the position-renamed automaton.
 
-One text writer, to_json_text, prints every JSON value, traces and all
-automaton shapes alike.  It writes the bytes of json.dumps with indent=2,
-sorted keys and non-ASCII kept, without the standard library's
-pure-Python indenting encoder, and joins lists of plain ints at C speed.
+JSON text is written straight from the automaton or trace with fixed row
+templates, in the bytes of json.dumps with indent=2, sorted keys and
+non-ASCII kept, plus a newline.  Template keys are in sorted order,
+strings go through the C string encoder, and ints and bools are written
+directly.  The dict-valued functions are those texts parsed back.
 """
 
+import json
+from functools import cache
 from json.encoder import encode_basestring
 
 from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
@@ -23,121 +26,37 @@ from .tauclose import NodeSet
 from .zipper import Cursor, render_cursor, render_path
 
 
-_INF = float("inf")
+def _rows(items: list, indent: str) -> list:
+    """A JSON list of pre-rendered items, as pieces for the one join of a
+    whole text: its brackets sit at indent and each item starts two
+    spaces deeper.  A single join copies a large output once."""
+    if not items:
+        return ["[]"]
+    inner = "\n  " + indent
+    pieces = ["," + inner] * (2 * len(items))
+    pieces[0] = "[" + inner
+    pieces[1::2] = items
+    pieces.append("\n" + indent + "]")
+    return pieces
 
 
-def _float_text(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
+# an action at the depth of an edge's fields
+_SILENT_TEXT = '{\n        "kind": "none"\n      }'
+_ASSIGN_ROW = ('{\n        "kind": "assign",\n        "val": %s,'
+               '\n        "var": %s\n      }')
 
 
-def _leaf_text(o) -> str:
-    """JSON text of a value that is not a list, tuple or dict."""
-    if isinstance(o, str):
-        return encode_basestring(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
-# leaf writers by exact type; the rest, subclasses included, go through
-# the isinstance tests of _leaf_text, in json.dumps's order
-_LEAF = {str: encode_basestring, int: int.__repr__, float: _float_text,
-         bool: _leaf_text, type(None): _leaf_text}
-
-
-def _key_text(k) -> str:
-    """A dict key as json.dumps writes it, with the ': ' after it."""
-    if isinstance(k, str):
-        return encode_basestring(k) + ": "
-    if k is None or isinstance(k, (int, float)):
-        return encode_basestring(_leaf_text(k)) + ": "
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
-def to_json_text(obj) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False) plus a newline, byte for byte.
-
-    With indent set, the standard library runs its pure-Python encoder,
-    one generator per container.  This writer appends each container's
-    pieces to one list, writes a leaf inside its container's loop, and
-    writes a list of plain ints with one join.  Dict items are sorted by
-    key, which orders them as json.dumps's sorted items do: keys of one
-    dict are never equal.
-    """
-    out = []
-    append = out.append
-    leaf_of = _LEAF.get
-
-    def write(o, nl):
-        # nl is a newline plus o's indent
-        if isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            inner = nl + "  "
-            if all(type(x) is int for x in o):
-                append("[" + inner + ("," + inner).join(map(int.__repr__, o))
-                       + nl + "]")
-                return
-            comma = "," + inner
-            sep = "[" + inner
-            for x in o:
-                leaf = leaf_of(type(x))
-                if leaf is not None:
-                    append(sep + leaf(x))
-                else:
-                    append(sep)
-                    write(x, inner)
-                sep = comma
-            append(nl + "]")
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = nl + "  "
-            comma = "," + inner
-            sep = "{" + inner
-            for k in sorted(o):
-                v = o[k]
-                leaf = leaf_of(type(v))
-                if leaf is not None:
-                    append(sep + _key_text(k) + leaf(v))
-                else:
-                    append(sep + _key_text(k))
-                    write(v, inner)
-                sep = comma
-            append(nl + "}")
-        else:
-            append(_leaf_text(o))
-
-    write(obj, "\n")
-    append("\n")
-    return "".join(out)
+def _action_text(a) -> str:
+    if a is SILENT:
+        return _SILENT_TEXT
+    if isinstance(a, Assign):
+        return _ASSIGN_ROW % (encode_basestring(value_literal(a.value)),
+                              encode_basestring(a.name))
+    raise TypeError(f"not an action: {a!r}")
 
 
 def action_to_json(a) -> dict:
-    if a is SILENT:
-        return {"kind": "none"}
-    if isinstance(a, Assign):
-        return {"kind": "assign", "var": a.name, "val": value_literal(a.value)}
-    raise TypeError(f"not an action: {a!r}")
+    return json.loads(_action_text(a))
 
 
 def action_from_json(obj):
@@ -166,23 +85,36 @@ def _node_ids(aut: Automaton) -> dict:
     return ids
 
 
-def _automaton_json(aut: Automaton, node_fields) -> dict:
-    """The JSON shape of every automaton: positional node ids, edges
-    between ids and the initial node's id.  node_fields(n) gives the
-    fields of node n besides its id."""
+_EDGE_ROW = '{\n      "action": %s,\n      "dest": %d,\n      "source": %d\n    }'
+
+
+def automaton_json_text(aut: Automaton, node_row) -> str:
+    """The JSON text of every automaton: positional node ids, edges
+    between ids and the initial node's id.  node_row(n, i) gives the
+    object of node n with id i as an item of the node list: fields at
+    six spaces, closing brace at four."""
     ids = _node_ids(aut)
-    nodes = [{"id": i, **node_fields(n)} for n, i in ids.items()]
-    edges = [{"source": ids[e.source], "action": action_to_json(e.action),
-              "dest": ids[e.dest]}
-             for e in aut.edges]
-    return {"nodes": nodes, "edges": edges, "init": ids[aut.init]}
+    # edges share a few actions, each rendered once
+    actions = {a: _action_text(a) for a in {e.action for e in aut.edges}}
+    edges = [_EDGE_ROW % (actions[a], ids[dest], ids[source])
+             for source, a, dest in aut.edges]
+    nodes = [node_row(n, i) for n, i in ids.items()]
+    return "".join(['{\n  "edges": ', *_rows(edges, "  "),
+                    ',\n  "init": %d,\n  "nodes": ' % ids[aut.init],
+                    *_rows(nodes, "  "), "\n}\n"])
 
 
-def program_automaton_json(aut: Automaton) -> dict:
-    """JSON shape for a cursor-noded automaton."""
-    return _automaton_json(aut, lambda n: {
-        "path": render_path(n.loc.path), "flag": n.entering,
-        "focus": print_program(n.loc.focus)})
+_PROGRAM_NODE_ROW = ('{\n      "flag": %s,\n      "focus": %s,\n      "id": %d,'
+                     '\n      "path": %s\n    }')
+
+
+def program_automaton_json_text(aut: Automaton) -> str:
+    """JSON text for a cursor-noded automaton."""
+    # two cursors share each location; equal subterms are one object
+    focus = cache(lambda c: encode_basestring(print_program(c)))
+    return automaton_json_text(aut, lambda n, i: _PROGRAM_NODE_ROW % (
+        "true" if n.entering else "false", focus(n.loc.focus), i,
+        encode_basestring(render_path(n.loc.path))))
 
 
 def _member_ids(base: Automaton):
@@ -191,15 +123,35 @@ def _member_ids(base: Automaton):
     return lambda n: sorted(base_ids[m] for m in n.members)
 
 
-def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
-    """JSON shape for a closed automaton; members are base node ids."""
+_CLOSED_NODE_ROW = '{\n      "id": %d,\n      "members": %s\n    }'
+
+
+def closed_automaton_json_text(base: Automaton, closed: Automaton) -> str:
+    """JSON text for a closed automaton; members are base node ids."""
     members = _member_ids(base)
-    return _automaton_json(closed, lambda n: {"members": members(n)})
+    return automaton_json_text(closed, lambda n, i: _CLOSED_NODE_ROW % (
+        i, "".join(_rows(list(map(str, members(n))), "      "))))
+
+
+_GENERIC_NODE_ROW = '{\n      "id": %d,\n      "label": %s\n    }'
+
+
+def generic_automaton_json_text(aut: Automaton) -> str:
+    """JSON text for an automaton over plain (typically int) nodes."""
+    return automaton_json_text(aut, lambda n, i: _GENERIC_NODE_ROW % (
+        i, encode_basestring(render_node(n))))
+
+
+def program_automaton_json(aut: Automaton) -> dict:
+    return json.loads(program_automaton_json_text(aut))
+
+
+def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
+    return json.loads(closed_automaton_json_text(base, closed))
 
 
 def generic_automaton_json(aut: Automaton) -> dict:
-    """JSON shape for an automaton over plain (typically int) nodes."""
-    return _automaton_json(aut, lambda n: {"label": render_node(n)})
+    return json.loads(generic_automaton_json_text(aut))
 
 
 def _node_id(value, what):
@@ -274,10 +226,6 @@ def closed_automaton_dot(base: Automaton, closed: Automaton) -> str:
         str(j) for j in members(n)) + "}")
 
 
-def state_json(s: dict) -> dict:
-    return {k: value_literal(s[k]) for k in sorted(s)}
-
-
 def render_state(s: dict) -> str:
     return "{" + ", ".join(f"{k}={value_literal(s[k])}" for k in sorted(s)) + "}"
 
@@ -288,12 +236,38 @@ def _trace_rows(trace: Trace):
         yield i, rule, cfg
 
 
+_TRACE_ROW = ('{\n    "flag": %s,\n    "path": %s,\n    "rule": %s,'
+              '\n    "state": %s,\n    "step": %d\n  }')
+
+
+def _state_text(s: dict) -> str:
+    """A state as a JSON object at the depth of a trace row's fields."""
+    if not s:
+        return "{}"
+    return "{\n      " + ",\n      ".join(
+        encode_basestring(k) + ": " + encode_basestring(value_literal(s[k]))
+        for k in sorted(s)) + "\n    }"
+
+
+def trace_json_text(trace: Trace) -> str:
+    """JSON text of a trace, one row per configuration."""
+    path_text = cache(lambda p: encode_basestring(render_path(p)))
+    state = state_text = None
+    rows = []
+    for i, rule, cfg in _trace_rows(trace):
+        cur = cfg.cursor
+        # a step that assigns nothing keeps its state object
+        if cfg.state is not state:
+            state = cfg.state
+            state_text = _state_text(state)
+        rows.append(_TRACE_ROW % ("true" if cur.entering else "false",
+                                  path_text(cur.loc.path),
+                                  encode_basestring(rule), state_text, i))
+    return "".join([*_rows(rows, ""), "\n"])
+
+
 def trace_json(trace: Trace) -> list:
-    return [{"step": i, "rule": rule,
-             "path": render_path(cfg.cursor.loc.path),
-             "flag": cfg.cursor.entering,
-             "state": state_json(cfg.state)}
-            for i, rule, cfg in _trace_rows(trace)]
+    return json.loads(trace_json_text(trace))
 
 
 def trace_text(trace: Trace) -> str:

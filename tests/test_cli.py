@@ -181,15 +181,19 @@ def test_a_program_file_and_automaton_together_exit_2(tmp_path, capsys,
                                                      fixtures_dir):
     f = write(tmp_path, "loop.imp", LOOP_SRC)
     fork = str(fixtures_dir / "silent_fork.json")
-    for argv in (["tauclose", f, "--automaton", fork],
-                 ["check", "regular", f, "--automaton", fork],
-                 ["check", "tausim", f, "--automaton", fork]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "give a program file or --automaton, not both" in captured.err
+    for command in (["tauclose"], ["check", "regular"], ["check", "tausim"]):
+        # the file before or after the option
+        for argv in (command + [f, "--automaton", fork],
+                     command + ["--automaton", fork, f]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            name = "zippersem " + " ".join(command)
+            assert captured.err.startswith(f"usage: {name} ")
+            assert f"{name}: error: give a program file or --automaton, " \
+                "not both" in captured.err
 
 
 def test_tauclose_rejects_malformed_json(tmp_path, capsys):

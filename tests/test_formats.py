@@ -4,68 +4,81 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import position_renaming
-from randgen import random_automaton, random_program
-from zippersem.ast import TRUE, Assign, parse_program
-from zippersem.automaton import SILENT, is_regular, program_automaton
+from randgen import random_automaton, random_program, random_state
+from zippersem.ast import FALSE, TRUE, Assign, parse_program
+from zippersem.automaton import (SILENT, Automaton, Edge, is_regular,
+                                 program_automaton)
 from zippersem.formats import (action_from_json, action_to_json,
                                automaton_dot, closed_automaton_dot,
-                               closed_automaton_json, generic_automaton_json,
-                               load_automaton, program_automaton_json,
-                               render_node, render_state, state_json,
-                               to_json_text, trace_json, trace_text)
+                               closed_automaton_json,
+                               closed_automaton_json_text,
+                               generic_automaton_json,
+                               generic_automaton_json_text, load_automaton,
+                               program_automaton_json,
+                               program_automaton_json_text, render_node,
+                               render_state, trace_json, trace_json_text,
+                               trace_text)
 from zippersem.semantics import run_trace
 from zippersem.tauclose import NodeSet, close_automaton
 
 LOOP = parse_program("while (true) { x := true; y := false }")
 
 
-def test_to_json_text_is_deterministic():
-    assert to_json_text({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+def _canonical(text):
+    """The text json.dumps gives for the value text parses to."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True,
+                      ensure_ascii=False) + "\n"
 
 
-_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
-    st.floats(),
-    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
-    st.text(),
-    st.sampled_from(['say "hi"', "back\\slash", "\x00\x07\x1f\n\t\r\x7f",
-                     "non-ASCII: é, ✓, 𝄞, \u2028"]))
-
-# the keys of one dict share a type, since json.dumps sorts them
-_KEYS = st.sampled_from([st.text(), st.integers(), st.floats(), st.booleans(),
-                         st.none()])
-
-_VALUES = st.recursive(
-    _LEAVES | st.lists(st.integers() | st.booleans()),
-    lambda inner: (st.lists(inner, max_size=5)
-                   | st.lists(inner, max_size=5).map(tuple)
-                   | _KEYS.flatmap(lambda k: st.dictionaries(k, inner,
-                                                             max_size=5))),
-    max_leaves=25)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
-@given(_VALUES)
-@example([1, True, 0, False])
-@example({"b": {}, "a": [], "c": [[], {}], "d": {"e": [{}]}})
-@example([None, 10**30, -0.0, 1e300, float("nan"), float("inf"), "\\\"\x01"])
-def test_to_json_text_writes_the_bytes_of_json_dumps(value):
-    expected = json.dumps(value, indent=2, sort_keys=True,
-                          ensure_ascii=False) + "\n"
-    assert to_json_text(value) == expected
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_json_writers_write_the_bytes_of_json_dumps(seed):
+    # every writer on a random program's automaton and its closure, a
+    # random automaton and its closure, and the program's traces
+    rng = random.Random(seed)
+    c = random_program(rng)
+    aut = program_automaton(c)
+    m = random_automaton(rng)
+    state = random_state(rng)
+    texts = [program_automaton_json_text(aut), generic_automaton_json_text(aut),
+             closed_automaton_json_text(aut, close_automaton(aut)),
+             generic_automaton_json_text(m),
+             closed_automaton_json_text(m, close_automaton(m))]
+    texts += [trace_json_text(run_trace(c, state, limit))
+              for limit in (0, 1, 200)]
+    for text in texts:
+        assert text == _canonical(text)
 
 
-@pytest.mark.parametrize("value", [object(), [1, {2}], {"a": 1, 2: 3},
-                                   {(1,): 2}])
-def test_to_json_text_refuses_what_json_dumps_refuses(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-    with pytest.raises(TypeError):
-        to_json_text(value)
+def test_json_writers_on_empty_and_shared_parts():
+    x_true = Assign("x", TRUE)
+    no_edges = Automaton((1,), (), 1)
+    shared = Automaton(tuple(range(6)), tuple(
+        Edge(i, x_true if i % 3 else SILENT, (i + 1) % 6) for i in range(6))
+        + (Edge(0, Assign("x", FALSE), 0),), 0)
+    labels = load_automaton({"nodes": ['sa"y', "é✓\u2028", 2.5, None],
+                             "edges": [], "init": 'sa"y'})
+    texts = [generic_automaton_json_text(no_edges),
+             closed_automaton_json_text(no_edges, close_automaton(no_edges)),
+             generic_automaton_json_text(shared),
+             closed_automaton_json_text(shared, close_automaton(shared)),
+             generic_automaton_json_text(labels),
+             trace_json_text(run_trace(parse_program("skip"), {}, 10))]
+    for text in texts:
+        assert text == _canonical(text)
+    assert '"edges": [],' in texts[0]
+    assert json.loads(texts[0]) == {
+        "edges": [], "init": 0, "nodes": [{"id": 0, "label": "1"}]}
+    edges = json.loads(texts[2])["edges"]
+    assert [e["action"] for e in edges] == \
+        [action_to_json(e.action) for e in shared.edges]
+    assert '"state": {},' in texts[5]
+    assert [n["label"] for n in json.loads(texts[4])["nodes"]] == \
+        ['sa"y', "é✓\u2028", "2.5", "None"]
 
 
 def test_action_json_roundtrip():
@@ -109,7 +122,7 @@ def test_closed_json_members_are_base_ids(silent_fork):
 def test_load_automaton_accepts_bare_and_object_nodes(silent_fork):
     bare = {"nodes": [1, 2], "edges": [], "init": 1}
     assert load_automaton(bare).nodes == (1, 2)
-    data = json.loads(to_json_text(generic_automaton_json(silent_fork)))
+    data = generic_automaton_json(silent_fork)
     assert load_automaton(data) == position_renaming(silent_fork)
 
 
@@ -130,7 +143,7 @@ def test_program_json_reimports_as_the_position_renaming():
     rng = random.Random(31)
     for _ in range(30):
         aut = program_automaton(random_program(rng))
-        loaded = load_automaton(json.loads(to_json_text(program_automaton_json(aut))))
+        loaded = load_automaton(program_automaton_json(aut))
         assert loaded == position_renaming(aut)
         # a loaded action is the program's own Assign node
         numbered = load_automaton(generic_automaton_json(aut))
@@ -205,9 +218,10 @@ def test_dot_closed_labels(silent_fork):
 
 def test_state_rendering():
     s = {"y": TRUE, "x": TRUE}
-    assert state_json(s) == {"x": "true", "y": "true"}
     assert render_state(s) == "{x=true, y=true}"
     assert render_state({}) == "{}"
+    tr = run_trace(parse_program("skip"), s, 10)
+    assert trace_json(tr)[0]["state"] == {"x": "true", "y": "true"}
 
 
 def test_trace_text_format():
