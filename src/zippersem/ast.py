@@ -20,7 +20,6 @@ keywords.
 import re
 import reprlib
 import weakref
-from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -32,7 +31,13 @@ def _forget(key, ref):
 
 
 class _Interning(type):
-    """Interns in __call__, not __new__: a live node skips __init__."""
+    """Fields are a class's own annotations, read from the built class so
+    that lazily evaluated annotations work too.  A call with one value per
+    field returns the live node of those values, or a new one it records."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        cls._fields = tuple(cls.__annotations__)
 
     def __call__(cls, *values):
         key = (cls, *values)
@@ -41,7 +46,11 @@ class _Interning(type):
             node = ref()
             if node is not None:
                 return node
-        node = super().__call__(*values)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} values")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
         HashConsed._live[key] = weakref.ref(node, partial(_forget, key))
         return node
 
@@ -58,10 +67,15 @@ class HashConsed(metaclass=_Interning):
     and hash the same way.  The table of live values maps each key to a
     weak reference, so dropping a program frees its nodes, and a dead
     node's reference removes its own entry.
-    Subclasses are frozen dataclasses with eq=False and repr=False.
+    Subclasses declare their fields as annotations; nodes are immutable.
     """
 
     _live = {}
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         """The dataclass repr, built on a stack so that deep trees print."""
@@ -72,9 +86,9 @@ class HashConsed(metaclass=_Interning):
                 out.append(item)
                 continue
             parts = [f"{type(item).__qualname__}("]
-            for i, f in enumerate(fields(item)):
-                v = getattr(item, f.name)
-                parts += [f"{', ' if i else ''}{f.name}=",
+            for i, name in enumerate(item._fields):
+                v = getattr(item, name)
+                parts += [f"{', ' if i else ''}{name}=",
                           v if isinstance(v, HashConsed) else repr(v)]
             stack += reversed(parts + [")"])
         return "".join(out)
@@ -84,12 +98,10 @@ class Value(HashConsed):
     """Runtime value: a boolean or null."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Bool(Value):
     value: bool
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Null(Value):
     pass
 
@@ -103,12 +115,10 @@ class Expr(HashConsed):
     """Expression: a literal value or a variable read."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Lit(Expr):
     value: Value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
@@ -117,31 +127,26 @@ class Stmt(HashConsed):
     """Statement."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Skip(Stmt):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Assign(Stmt):
     name: str
     value: Value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Stmt):
     first: Stmt
     second: Stmt
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cond(Stmt):
     test: Expr
     then_branch: Stmt
     else_branch: Stmt
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class While(Stmt):
     test: Expr
     body: Stmt

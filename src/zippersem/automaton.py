@@ -8,7 +8,6 @@ since both branches of a conditional and both outcomes of a loop header
 are present regardless of state.
 """
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .ast import Assign, Cond, Seq, Skip, Stmt, While, value_literal
@@ -36,21 +35,16 @@ class Edge(NamedTuple):
     dest: Any
 
 
-@dataclass(frozen=True)
-class Automaton:
-    """Node and edge sequences plus an initial node.
+class Automaton(NamedTuple):
+    """Node and edge tuples plus an initial node.
 
     Node type is arbitrary (cursors for compiled programs, ints for loaded
-    ones, node sets after closure).  Sequences may hold duplicates; set
+    ones, node sets after closure).  Tuples may hold duplicates; set
     semantics apply wherever membership is meant.
     """
     nodes: tuple
     edges: tuple
     init: Any
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
 
 
 def action_effect(a, s: dict) -> dict:
@@ -139,8 +133,7 @@ def edges_closed(aut: Automaton) -> bool:
     return all(e in edges for n in aut.nodes for e in edges_of(n))
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Outcome of replaying a semantic trace inside the automaton."""
     status: str                 # trace status: terminated, stuck, step-limit
     steps_checked: int

@@ -69,6 +69,17 @@ def action_from_json(obj):
     raise ValueError(f"bad action: {brief_repr(obj)}")
 
 
+def _action(obj, built: dict):
+    """action_from_json(obj), built once per hashable (kind, var, val)."""
+    try:
+        key = (obj.get("kind"), obj.get("var"), obj.get("val"))
+        if key not in built:
+            built[key] = action_from_json(obj)
+        return built[key]
+    except (AttributeError, TypeError):
+        return action_from_json(obj)
+
+
 def render_node(n) -> str:
     if isinstance(n, Cursor):
         return render_cursor(n)
@@ -187,11 +198,12 @@ def load_automaton(data: dict) -> Automaton:
             nodes.append(_node_id(item["id"], "node"))
         else:
             nodes.append(_node_id(item, "node"))
+    built = {}
     edges = []
     for item in raw_edges:
         try:
             edges.append(Edge(_node_id(item["source"], "edge source"),
-                              action_from_json(item["action"]),
+                              _action(item["action"], built),
                               _node_id(item["dest"], "edge destination")))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad edge: {brief_repr(item)}") from exc
@@ -271,10 +283,14 @@ def trace_json(trace: Trace) -> list:
 
 
 def trace_text(trace: Trace) -> str:
+    """One line per configuration; locations and states render once."""
+    where = cache(lambda loc: f"{print_program(loc.focus)} @ {render_path(loc.path)}")
+    state = state_text = None
     lines = []
     for i, rule, cfg in _trace_rows(trace):
+        if cfg.state is not state:
+            state = cfg.state
+            state_text = render_state(state)
         arrow = "↓" if cfg.cursor.entering else "↑"
-        lines.append(f"{i}: {rule} | {arrow}{print_program(cfg.cursor.loc.focus)}"
-                     f" @ {render_path(cfg.cursor.loc.path)}"
-                     f" | {render_state(cfg.state)}")
+        lines.append(f"{i}: {rule} | {arrow}{where(cfg.cursor.loc)} | {state_text}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ with no applicable rule is terminal when the cursor is leaving the root,
 and stuck otherwise (a condition evaluated to null).
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ast import (FALSE, NULL, TRUE, Assign, Cond, Expr, Lit, Seq, Skip,
@@ -92,11 +91,10 @@ def is_terminal(cfg: Config) -> bool:
     return not cfg.cursor.entering and isinstance(cfg.cursor.loc.path, Top)
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     start: Config
-    steps: list = field(default_factory=list)  # [(Config, rule name)]
-    status: str = TERMINATED
+    steps: list                 # [(Config, rule name)]
+    status: str
     stuck_reason: str | None = None
 
     @property
@@ -106,20 +104,17 @@ class Trace:
 
 def run_trace(c: Stmt, state: State, max_steps: int = 10000) -> Trace:
     """Run from the entering-root configuration for at most max_steps steps."""
-    cfg = Config(Cursor(Location(c, TOP), True), dict(state))
-    trace = Trace(start=cfg)
+    start = cfg = Config(Cursor(Location(c, TOP), True), dict(state))
+    steps = []
     for _ in range(max_steps):
         res = sem_step(cfg)
         if res is None:
             break
         cfg, rule = res
-        trace.steps.append((cfg, rule))
+        steps.append((cfg, rule))
     if is_terminal(cfg):
-        trace.status = TERMINATED
-    elif sem_step(cfg) is None:
-        trace.status = STUCK
-        trace.stuck_reason = (f"condition evaluated to null at "
-                              f"{render_path(cfg.cursor.loc.path)}")
-    else:
-        trace.status = STEP_LIMIT
-    return trace
+        return Trace(start, steps, TERMINATED)
+    if sem_step(cfg) is None:
+        return Trace(start, steps, STUCK, f"condition evaluated to null at "
+                     f"{render_path(cfg.cursor.loc.path)}")
+    return Trace(start, steps, STEP_LIMIT)

@@ -26,9 +26,9 @@ is the one close_automaton computes, and `zippersem check tausim` closes
 once.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .ast import HashConsed, value_literal
 from .automaton import SILENT, Automaton, Edge
@@ -58,7 +58,6 @@ def node_order(nodes):
     return key
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class NodeSet(HashConsed):
     """Duplicate-free, canonically ordered set of base nodes.
 
@@ -243,8 +242,7 @@ def close_automaton(aut: Automaton) -> Automaton:
     return Automaton(nodes, tuple(edges), init)
 
 
-@dataclass
-class TauSimReport:
+class TauSimReport(NamedTuple):
     """Outcome of the weak simulation witness check."""
     checked_pairs: int
     ok: bool
@@ -268,8 +266,8 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     which matches whenever d is a member of its closed node.  So each S
     is checked with set operations over its members' edges: silent
     destinations outside S, and needed ids that S's edges lack.  Only an
-    S that fails them is scanned edge by edge, so the report is the
-    scan's.
+    S that fails them has its members' edges gathered and scanned edge
+    by edge, so the report is the scan's.
     """
     mc = close_automaton(m)
     if m.init not in m.nodes:
@@ -277,11 +275,9 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
                                        "initial nodes are not related"))
     closed_of = dict(zip(m.nodes, mc.nodes))
     targets = {}        # (action, closed node) -> id
-    m_out = {}
     stays = {}          # node -> destinations of its silent edges
     needs = {}          # node -> target ids of its non-silent edges
     for e in m.edges:
-        m_out.setdefault(e.source, []).append(e)
         if e.action is SILENT:
             stays.setdefault(e.source, []).append(e.dest)
         else:
@@ -306,6 +302,10 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
             checked += len(members)
             continue
         s2_out = [e2 for e2 in mc.edges if e2.source == s2]
+        m_out = {}
+        for e in m.edges:
+            if e.source in s2:
+                m_out.setdefault(e.source, []).append(e)
         for s1 in s2:
             checked += 1
             for e in m_out.get(s1, []):

@@ -8,8 +8,6 @@ just finished.  Cursors are the program points that automaton compilation
 uses as nodes.
 """
 
-from dataclasses import dataclass
-
 from .ast import Cond, Expr, HashConsed, Seq, Stmt, While
 
 
@@ -17,26 +15,22 @@ class Path(HashConsed):
     """Inverted context of a focus; frames point upward to the root."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Top(Path):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SeqLeft(Path):
     """Focus is the first statement of a Seq; `after` is the second."""
     up: Path
     after: Stmt
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SeqRight(Path):
     """Focus is the second statement of a Seq; `before` is the first."""
     before: Stmt
     up: Path
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CondThen(Path):
     """Focus is the then-branch of a Cond."""
     test: Expr
@@ -44,7 +38,6 @@ class CondThen(Path):
     orelse: Stmt
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CondElse(Path):
     """Focus is the else-branch of a Cond."""
     test: Expr
@@ -52,7 +45,6 @@ class CondElse(Path):
     up: Path
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class WhileBody(Path):
     """Focus is the body of a While."""
     test: Expr
@@ -62,13 +54,11 @@ class WhileBody(Path):
 TOP = Top()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Location(HashConsed):
     focus: Stmt
     path: Path
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cursor(HashConsed):
     """A program point: a location plus a direction flag.
 

@@ -169,6 +169,24 @@ def test_repr_is_the_dataclass_repr():
     assert repr(NodeSet((1, "a"))) == "NodeSet(members=(1, 'a'))"
 
 
+def test_nodes_are_immutable_and_take_every_field():
+    fields = [(Var("x"), "name"), (Cursor(Location(Skip(), TOP), True), "loc"),
+              (NodeSet((1, 2)), "members")]
+    for node, field in fields:
+        value = getattr(node, field)
+        with pytest.raises(AttributeError):
+            setattr(node, field, value)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        assert getattr(node, field) is value
+    for make in (Var, lambda: Var("x", "y"), lambda: Cursor(Location(Skip(), TOP)),
+                 lambda: NodeSet((1,), (2,)), lambda: Skip(1)):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_dropped_programs_leave_no_live_nodes():
     # a compiled 1000-statement program and its trace, twice, as an
     # in-process loop of jobs would; then a closure

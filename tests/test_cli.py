@@ -1,7 +1,9 @@
 """Command line behavior: outputs and exit codes."""
 
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -483,6 +485,29 @@ def test_loader_errors_echo_a_bounded_value(tmp_path, capsys):
     assert main(["run", prog, "--state", f"x={literal}"]) == 2
     assert capsys.readouterr().err == (
         f"error: expected one of true, false, null: {literal!r}\n")
+
+
+def test_an_unhashable_literal_keeps_its_loader_error(tmp_path, capsys):
+    assign = {"kind": "assign", "var": "x", "val": "true"}
+    bad = {"kind": "assign", "var": "x", "val": []}
+    for actions in ([bad], [assign, bad], [assign, assign, bad, assign]):
+        f = write(tmp_path, "bad.json", json.dumps(
+            {"nodes": [1], "init": 1, "edges": [
+                {"source": 1, "dest": 1, "action": a} for a in actions]}))
+        for argv in (["tauclose", "--automaton", f],
+                     ["check", "tausim", "--automaton", f]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                "error: expected one of true, false, null: []\n"
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import zippersem.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert res.stdout == "[]\n"
 
 
 def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch,

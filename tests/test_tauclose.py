@@ -190,9 +190,10 @@ def test_close_keeps_nothing_on_its_input():
     automata = [random_automaton(rng) for _ in range(30)]
     automata += [program_automaton(random_program(rng)) for _ in range(30)]
     for m in automata:
-        before = dict(vars(m))
+        assert not hasattr(m, "__dict__")
+        before = Automaton(*m)
         first = close_automaton(m)
-        assert vars(m) == before
+        assert m == before
         assert close_automaton(m) == first
 
 
