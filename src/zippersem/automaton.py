@@ -11,6 +11,7 @@ are present regardless of state.
 from typing import Any, NamedTuple
 
 from .ast import Assign, Cond, Seq, Skip, Stmt, While, value_literal
+from .semantics import run_trace
 from .zipper import (TOP, CondElse, CondThen, Cursor, Location, SeqLeft, Top,
                      WhileBody, advance, all_locations, cursors_of)
 
@@ -137,7 +138,6 @@ class SimulationReport(NamedTuple):
     """Outcome of replaying a semantic trace inside the automaton."""
     status: str                 # trace status: terminated, stuck, step-limit
     steps_checked: int
-    matched: list               # one Edge per matched step
     violation: tuple | None = None  # (step index, Config, Config)
 
     @property
@@ -152,23 +152,17 @@ def check_simulation(c: Stmt, state: dict, max_steps: int = 10000) -> Simulation
     cur -> cur' whose action maps s to s'.  Stops at the first unmatched
     step; stuck and bounded traces are fine, their prefix is checked.
     """
-    from .semantics import run_trace
-
     aut = program_automaton(c)
     by_source = {}
     for e in aut.edges:
         by_source.setdefault(e.source, []).append(e)
     trace = run_trace(c, state, max_steps)
-    matched = []
     cfg = trace.start
     for i, (nxt, _rule) in enumerate(trace.steps):
-        hit = None
         for e in by_source.get(cfg.cursor, []):
             if e.dest == nxt.cursor and action_effect(e.action, cfg.state) == nxt.state:
-                hit = e
                 break
-        if hit is None:
-            return SimulationReport(trace.status, i, matched, (i, cfg, nxt))
-        matched.append(hit)
+        else:
+            return SimulationReport(trace.status, i, (i, cfg, nxt))
         cfg = nxt
-    return SimulationReport(trace.status, len(trace.steps), matched)
+    return SimulationReport(trace.status, len(trace.steps))

@@ -138,14 +138,11 @@ def cmd_check(args):
         return EXIT_OK
     if args.kind == "closure":
         aut = program_automaton(_read_program(args.file))
-        nodes_ok = nodes_closed(aut)
-        edges_ok = edges_closed(aut)
-        checks = [("nodes closed", nodes_ok),
-                  ("edges closed", edges_ok),
-                  ("step image closed", nodes_ok and edges_ok)]
-        for name, value in checks:
+        nodes_ok, edges_ok = nodes_closed(aut), edges_closed(aut)
+        for name, value in (("nodes closed", nodes_ok), ("edges closed", edges_ok),
+                            ("step image closed", nodes_ok and edges_ok)):
             print(f"{name}: {'ok' if value else 'FAIL'}")
-        return EXIT_OK if all(v for _, v in checks) else EXIT_VIOLATION
+        return EXIT_OK if nodes_ok and edges_ok else EXIT_VIOLATION
     if args.kind == "regular":
         aut = _input_automaton(args)
         ok = is_regular(aut)
@@ -168,9 +165,19 @@ def cmd_check(args):
 
 
 def _input_automaton(args):
+    if args.automaton and args.file is not None:
+        args.parser.error("give a program file or --automaton, not both")
     if args.automaton:
         return _load_automaton_file(args.automaton)
+    if args.file is None:
+        args.parser.error("need a program file or --automaton")
     return program_automaton(_read_program(args.file))
+
+
+def _add_input(p):
+    """A program file or --automaton, for the commands that read either."""
+    p.add_argument("file", nargs="?")
+    p.add_argument("--automaton", help="automaton JSON file instead of a program")
 
 
 def build_parser():
@@ -208,23 +215,22 @@ def build_parser():
     p = sub.add_parser("tauclose",
                        help="close a program automaton or a JSON automaton "
                             "over silent transitions")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--automaton", help="automaton JSON file instead of a program")
+    _add_input(p)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_tauclose, parser=p)
 
     p = sub.add_parser("check", help="run one of the property checkers")
-    # one parser per kind, so that a file after --automaton is still the
-    # kind's file argument, as it is for tauclose
+    # one parser per kind, each with only the options it reads
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind in ("sim", "closure", "regular", "tausim"):
-        k = kinds.add_parser(kind)
-        k.add_argument("file", nargs="?")
-        k.add_argument("--automaton",
-                       help="automaton JSON file (regular and tausim only)")
-        k.add_argument("--state", default="")
-        k.add_argument("--max-steps", type=int, default=10000)
+    k = kinds.add_parser("sim")
+    k.add_argument("file")
+    k.add_argument("--state", default="")
+    k.add_argument("--max-steps", type=int, default=10000)
+    kinds.add_parser("closure").add_argument("file")
+    _add_input(kinds.add_parser("regular"))
+    _add_input(kinds.add_parser("tausim"))
+    for k in kinds.choices.values():
         k.set_defaults(func=cmd_check, parser=k)
 
     return parser
@@ -239,19 +245,12 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args, extra = _parser.parse_known_args(argv)
     # errors go through the subcommand's parser, whose usage names it
-    parser = args.parser
-    automaton = getattr(args, "automaton", None)
-    if args.file is None and not automaton:
-        parser.error("need a program file or --automaton")
-    if automaton and args.command == "check" \
-            and args.kind in ("sim", "closure"):
-        parser.error("check sim/closure work on programs, not --automaton")
-    if automaton and args.file is not None:
-        parser.error("give a program file or --automaton, not both")
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if getattr(args, "max_steps", 0) < 0:
-        parser.error("--max-steps must not be negative")
+        args.parser.error("--max-steps must not be negative")
     try:
         return args.func(args)
     except ParseError as exc:

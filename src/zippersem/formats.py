@@ -11,7 +11,8 @@ JSON text is written straight from the automaton or trace with fixed row
 templates, in the bytes of json.dumps with indent=2, sorted keys and
 non-ASCII kept, plus a newline.  Template keys are in sorted order,
 strings go through the C string encoder, and ints and bools are written
-directly.  The dict-valued functions are those texts parsed back.
+directly.  The two dict-valued functions are those texts parsed back,
+for the benchmark's own tests.
 """
 
 import json
@@ -53,10 +54,6 @@ def _action_text(a) -> str:
         return _ASSIGN_ROW % (encode_basestring(value_literal(a.value)),
                               encode_basestring(a.name))
     raise TypeError(f"not an action: {a!r}")
-
-
-def action_to_json(a) -> dict:
-    return json.loads(_action_text(a))
 
 
 def action_from_json(obj):
@@ -161,18 +158,17 @@ def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
     return json.loads(closed_automaton_json_text(base, closed))
 
 
-def generic_automaton_json(aut: Automaton) -> dict:
-    return json.loads(generic_automaton_json_text(aut))
-
-
-def _node_id(value, what):
-    """A node id from JSON; ids are compared and hashed, so lists and
-    objects are refused."""
+def _node_id(value, what, seen: dict):
+    """A node id from JSON: hashable, and unequal to the ids of other types
+    in seen (1, 1.0 and true; 0 and false), which would merge two nodes."""
     try:
-        hash(value)
+        first = seen.setdefault(value, value)
     except TypeError:
         raise ValueError(f"{what} is not a valid node id: "
                          f"{brief_repr(value)}") from None
+    if first is not value and first.__class__ is not value.__class__:
+        raise ValueError(f"{what} {brief_repr(value)} equals the node id "
+                         f"{brief_repr(first)} of another type")
     return value
 
 
@@ -190,24 +186,25 @@ def load_automaton(data: dict) -> Automaton:
         raise ValueError("automaton JSON needs node and edge lists")
     if "init" not in data:
         raise ValueError("automaton JSON needs an init node")
+    seen = {}
     nodes = []
     for item in raw_nodes:
         if isinstance(item, dict):
             if "id" not in item:
                 raise ValueError(f"node object without id: {brief_repr(item)}")
-            nodes.append(_node_id(item["id"], "node"))
+            nodes.append(_node_id(item["id"], "node", seen))
         else:
-            nodes.append(_node_id(item, "node"))
+            nodes.append(_node_id(item, "node", seen))
     built = {}
     edges = []
     for item in raw_edges:
         try:
-            edges.append(Edge(_node_id(item["source"], "edge source"),
+            edges.append(Edge(_node_id(item["source"], "edge source", seen),
                               _action(item["action"], built),
-                              _node_id(item["dest"], "edge destination")))
+                              _node_id(item["dest"], "edge destination", seen)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad edge: {brief_repr(item)}") from exc
-    return Automaton(tuple(nodes), tuple(edges), _node_id(data["init"], "init"))
+    return Automaton(tuple(nodes), tuple(edges), _node_id(data["init"], "init", seen))
 
 
 def _quote(s: str) -> str:
@@ -276,10 +273,6 @@ def trace_json_text(trace: Trace) -> str:
                                   path_text(cur.loc.path),
                                   encode_basestring(rule), state_text, i))
     return "".join([*_rows(rows, ""), "\n"])
-
-
-def trace_json(trace: Trace) -> list:
-    return json.loads(trace_json_text(trace))
 
 
 def trace_text(trace: Trace) -> str:

@@ -243,6 +243,44 @@ def test_check_sim_rejects_automaton_flag(tmp_path, capsys):
         main(["check", "sim", "--automaton", bad])
 
 
+def test_check_kinds_refuse_options_they_do_not_read(tmp_path, capsys):
+    f = write(tmp_path, "loop.imp", LOOP_SRC)
+    a = write(tmp_path, "a.json", "{}")
+    for argv in (["check", "closure", f, "--state", "x=true"],
+                 ["check", "tausim", f, "--max-steps", "5"],
+                 ["check", "sim", "--automaton", a]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: zippersem check {argv[1]} ")
+        option = next(arg for arg in argv if arg.startswith("--"))
+        assert f"error: unrecognized arguments: {option}" in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    # node true would merge with node 1, and node 2 would get id 1
+    {"nodes": [1, True, 2], "init": True, "edges": [
+        {"source": 1, "dest": 2,
+         "action": {"kind": "assign", "var": "x", "val": "true"}},
+        {"source": True, "action": {"kind": "none"}, "dest": 2}]},
+    {"nodes": [0, 1.0], "edges": [], "init": False},
+    {"nodes": [1], "edges": [
+        {"source": 1.0, "action": {"kind": "none"}, "dest": 1}], "init": 1},
+])
+def test_ids_equal_across_json_types_exit_2(tmp_path, capsys, doc):
+    f = write(tmp_path, "a.json", json.dumps(doc))
+    for argv in (["tauclose", "--automaton", f],
+                 ["check", "tausim", "--automaton", f],
+                 ["check", "regular", "--automaton", f]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "of another type" in captured.err
+
+
 def test_check_closure(tmp_path, capsys):
     f = write(tmp_path, "loop.imp", LOOP_SRC)
     assert main(["check", "closure", f]) == 0

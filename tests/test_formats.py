@@ -12,16 +12,13 @@ from randgen import random_automaton, random_program, random_state
 from zippersem.ast import FALSE, TRUE, Assign, parse_program
 from zippersem.automaton import (SILENT, Automaton, Edge, is_regular,
                                  program_automaton)
-from zippersem.formats import (action_from_json, action_to_json,
-                               automaton_dot, closed_automaton_dot,
-                               closed_automaton_json,
+from zippersem.formats import (action_from_json, automaton_dot,
+                               closed_automaton_dot, closed_automaton_json,
                                closed_automaton_json_text,
-                               generic_automaton_json,
                                generic_automaton_json_text, load_automaton,
                                program_automaton_json,
                                program_automaton_json_text, render_node,
-                               render_state, trace_json, trace_json_text,
-                               trace_text)
+                               render_state, trace_json_text, trace_text)
 from zippersem.semantics import run_trace
 from zippersem.tauclose import NodeSet, close_automaton
 
@@ -75,15 +72,20 @@ def test_json_writers_on_empty_and_shared_parts():
         "edges": [], "init": 0, "nodes": [{"id": 0, "label": "1"}]}
     edges = json.loads(texts[2])["edges"]
     assert [e["action"] for e in edges] == \
-        [action_to_json(e.action) for e in shared.edges]
+        [{"kind": "assign", "val": "true", "var": "x"} if i % 3
+         else {"kind": "none"} for i in range(6)] \
+        + [{"kind": "assign", "val": "false", "var": "x"}]
     assert '"state": {},' in texts[5]
     assert [n["label"] for n in json.loads(texts[4])["nodes"]] == \
         ['sa"y', "é✓\u2028", "2.5", "None"]
 
 
 def test_action_json_roundtrip():
-    for a in (SILENT, Assign("x", TRUE)):
-        assert action_from_json(action_to_json(a)) is a
+    for a, obj in ((SILENT, {"kind": "none"}),
+                   (Assign("x", TRUE), {"kind": "assign", "val": "true", "var": "x"})):
+        text = generic_automaton_json_text(Automaton((0,), (Edge(0, a, 0),), 0))
+        assert json.loads(text)["edges"][0]["action"] == obj
+        assert action_from_json(obj) is a
     with pytest.raises(ValueError):
         action_from_json({"kind": "jump"})
     with pytest.raises(ValueError):
@@ -122,7 +124,7 @@ def test_closed_json_members_are_base_ids(silent_fork):
 def test_load_automaton_accepts_bare_and_object_nodes(silent_fork):
     bare = {"nodes": [1, 2], "edges": [], "init": 1}
     assert load_automaton(bare).nodes == (1, 2)
-    data = generic_automaton_json(silent_fork)
+    data = json.loads(generic_automaton_json_text(silent_fork))
     assert load_automaton(data) == position_renaming(silent_fork)
 
 
@@ -146,7 +148,7 @@ def test_program_json_reimports_as_the_position_renaming():
         loaded = load_automaton(program_automaton_json(aut))
         assert loaded == position_renaming(aut)
         # a loaded action is the program's own Assign node
-        numbered = load_automaton(generic_automaton_json(aut))
+        numbered = load_automaton(json.loads(generic_automaton_json_text(aut)))
         assert [e.action for e in numbered.edges] == [e.action for e in aut.edges]
         assert all(f.action is e.action for e, f in zip(aut.edges, numbered.edges))
 
@@ -159,7 +161,7 @@ def test_rename_nodes_preserves_structure():
         assert renamed.nodes == tuple(range(len(set(m.nodes))))
         assert len(renamed.edges) == len(m.edges)
         assert is_regular(renamed) == is_regular(m)
-        labels = generic_automaton_json(m)["nodes"]
+        labels = json.loads(generic_automaton_json_text(m))["nodes"]
         assert [n["id"] for n in labels] == list(renamed.nodes)
 
 
@@ -183,7 +185,7 @@ def test_renaming_commutes_with_closure_memberwise():
 
 def test_numbered_automaton_json():
     aut = program_automaton(parse_program("skip"))
-    data = generic_automaton_json(aut)
+    data = json.loads(generic_automaton_json_text(aut))
     assert data == {
         "nodes": [{"id": 0, "label": "@top ↓"},
                   {"id": 1, "label": "@top ↑"}],
@@ -221,7 +223,7 @@ def test_state_rendering():
     assert render_state(s) == "{x=true, y=true}"
     assert render_state({}) == "{}"
     tr = run_trace(parse_program("skip"), s, 10)
-    assert trace_json(tr)[0]["state"] == {"x": "true", "y": "true"}
+    assert json.loads(trace_json_text(tr))[0]["state"] == {"x": "true", "y": "true"}
 
 
 def test_trace_text_format():
@@ -235,7 +237,7 @@ def test_trace_text_format():
 
 def test_trace_json_rows():
     tr = run_trace(parse_program("skip"), {}, 10)
-    assert trace_json(tr) == [
+    assert json.loads(trace_json_text(tr)) == [
         {"step": 0, "rule": "init", "path": "@top", "flag": True, "state": {}},
         {"step": 1, "rule": "SEmpty", "path": "@top", "flag": False, "state": {}},
     ]

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import random_automaton
+from zippersem.ast import value_literal
+from zippersem.automaton import SILENT
 from zippersem.cli import main
-from zippersem.formats import action_to_json
 
 COMMANDS = (["tauclose", "--automaton"],
             ["check", "tausim", "--automaton"],
@@ -29,10 +30,16 @@ OTHER_VALUES = [None, True, 0, -1, 1.5, "", "x", "if", [], {}, [1], {"id": 1},
                 {"kind": "none"}, {"kind": "assign", "var": "x", "val": "true"}]
 
 
+def _action_json(a):
+    if a is SILENT:
+        return {"kind": "none"}
+    return {"kind": "assign", "var": a.name, "val": value_literal(a.value)}
+
+
 def _base_json(seed, object_nodes):
     m = random_automaton(random.Random(seed), max_nodes=6, max_edges=10)
     return {"nodes": [{"id": n} if object_nodes else n for n in m.nodes],
-            "edges": [{"source": e.source, "action": action_to_json(e.action),
+            "edges": [{"source": e.source, "action": _action_json(e.action),
                        "dest": e.dest} for e in m.edges],
             "init": m.init}
 
