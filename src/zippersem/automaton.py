@@ -110,7 +110,7 @@ def program_automaton(c: Stmt) -> Automaton:
     Nodes are both cursors of every location in pre-order, so the node
     count is twice the subterm count.  The initial node enters the root.
     """
-    nodes = cursors_of(all_locations(c, TOP))
+    nodes = cursors_of(all_locations(c))
     edges = tuple(e for cur in nodes for e in edges_of(cur))
     return Automaton(tuple(nodes), edges, Cursor(Location(c, TOP), True))
 

@@ -248,7 +248,10 @@ def main(argv=None) -> int:
     args, extra = _parser.parse_known_args(argv)
     # errors go through the subcommand's parser, whose usage names it
     if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # an unknown option before an optional file lets argparse bind the
+        # option's value to the file and leave the file over: name options only
+        named = [a for a in extra if a.startswith("-")] or extra
+        args.parser.error(f"unrecognized arguments: {' '.join(named)}")
     if getattr(args, "max_steps", 0) < 0:
         args.parser.error("--max-steps must not be negative")
     try:

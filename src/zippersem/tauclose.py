@@ -10,16 +10,17 @@ by check_tau_simulation.
 
 close_automaton is the one route to the closure sets, and its cost is
 near-linear in its output.  It ranks the distinct nodes once in canonical
-order; cursors are ranked by path_ranks, so no path is rendered.  It
-condenses the silent edges into strongly connected components (Tarjan,
-SIAM J. Comput. 1972) and computes one closure per component from the
-closures of its successors, in reverse topological order (Nuutila,
-Efficient Transitive Closure Computation in Large Digraphs, 1995).  Each
-component's closure is one closed node.  Numbered in sorted order, these
-closure ids key the closed edges, which are deduplicated and sorted as
-integers.  The paper's fixpoint definition, a breadth-first search and
-the rendered sort key live in the tests as oracles, which pin this route
-against them.
+order; cursors are ranked by path_ranks, so no path is rendered.  One
+walk over the edges collects the silent successors and the witnessed
+edges.  One search over the silent edges then completes their strongly
+connected components (Tarjan, SIAM J. Comput. 1972), in reverse
+topological order, and builds each component's closure as it completes,
+from the closures of its successors (Nuutila, Efficient Transitive
+Closure Computation in Large Digraphs, 1995).  Each component's closure
+is one closed node.  Numbered in sorted order, these closure ids key the
+closed edges, which are deduplicated and sorted as integers.  The paper's
+fixpoint definition, a breadth-first search and the rendered sort key
+live in the tests as oracles, which pin this route against them.
 
 check_tau_simulation closes its input itself, so the closure it checks
 is the one close_automaton computes, and `zippersem check tausim` closes
@@ -91,20 +92,28 @@ def action_key(a):
     return (a.name, value_literal(a.value))
 
 
-def _components(succ):
-    """Strongly connected components of the graph i -> succ[i], found by
-    an iterative Tarjan search.
+def _closures(succ):
+    """Silent reachability of the graph i -> succ[i], one closure per
+    strongly connected component, in one iterative Tarjan search.
 
-    Returns the components as vertex lists in the order the search
-    completes them, which is reverse topological: a component comes after
-    every component it reaches.  Also returns each vertex's component.
+    The search completes components in reverse topological order, so when
+    it pops a component, every component that one reaches is complete, and
+    its closure is built there and then: its members plus the closures of
+    its successor components.  The successors are taken in topological
+    order, and one whose first member the closure already holds is skipped,
+    since its whole closure is in there too.  Returns (component per
+    vertex, closure of each component as a sorted tuple of vertices,
+    successor components each closure was built from), with components
+    numbered in completion order.
     """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n         # -1 while unvisited or on the stack
     stack = []
-    comps = []
+    first = []              # each component's first member
+    closures = []
+    parts = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
@@ -129,54 +138,24 @@ def _components(succ):
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
+                    c = len(first)
                     members = []
                     w = None
                     while w != v:
                         w = stack.pop()
-                        comp[w] = len(comps)
+                        comp[w] = c
                         members.append(w)
-                    comps.append(members)
-    return comps, comp
-
-
-def _closure_table(aut: Automaton):
-    """Silent reachability for every distinct node, one closure per
-    silent component.
-
-    The distinct nodes are sorted by node_order once; a node's rank is its
-    position in that order.  A component's closure is its members plus
-    the closures of its successor components.  The successors are taken
-    in topological order, and one whose members the closure already holds
-    is skipped, since its whole closure is in there too.  Returns (rank
-    per node, nodes in rank order, component per rank, closure of each
-    component as a sorted tuple of ranks, successor components each
-    closure was built from).  Comparing closures as rank tuples orders
-    them as comparing their members' sort keys would.
-    """
-    distinct = list(dict.fromkeys(aut.nodes))
-    ranked = sorted(distinct, key=node_order(distinct))
-    rank = {n: r for r, n in enumerate(ranked)}
-    succ = [[] for _ in ranked]
-    for e in aut.edges:
-        if e.action is SILENT:
-            si = rank.get(e.source)
-            di = rank.get(e.dest)
-            if si is not None and di is not None:
-                succ[si].append(di)
-    comps, comp = _components(succ)
-    closures = []
-    parts = []
-    for c, members in enumerate(comps):
-        reach = set(members)
-        took = []
-        for d in sorted({comp[j] for i in members for j in succ[i]} - {c},
-                        reverse=True):
-            if comps[d][0] not in reach:
-                reach.update(closures[d])
-                took.append(d)
-        closures.append(tuple(sorted(reach)))
-        parts.append(took)
-    return rank, ranked, comp, closures, parts
+                    reach = set(members)
+                    took = []
+                    after = {comp[j] for i in members for j in succ[i]} - {c}
+                    for d in sorted(after, reverse=True):
+                        if first[d] not in reach:
+                            reach.update(closures[d])
+                            took.append(d)
+                    first.append(members[0])
+                    closures.append(tuple(sorted(reach)))
+                    parts.append(took)
+    return comp, closures, parts
 
 
 def close_automaton(aut: Automaton) -> Automaton:
@@ -197,30 +176,37 @@ def close_automaton(aut: Automaton) -> Automaton:
     node outside the node list is closed too: its closure is itself plus
     the closures of the nodes one silent edge away.
     """
-    rank, ranked, comp, closures, parts = _closure_table(aut)
+    # a node's rank is its position in node_order; comparing closures as
+    # rank tuples orders them as comparing their members' sort keys would
+    distinct = list(dict.fromkeys(aut.nodes))
+    ranked = sorted(distinct, key=node_order(distinct))
+    rank = {n: r for r, n in enumerate(ranked)}
+    succ = [[] for _ in ranked]
+    witnessed = []
+    for e in aut.edges:
+        si = rank.get(e.source)
+        di = rank.get(e.dest)
+        if si is None or di is None:
+            continue
+        if e.action is SILENT:
+            succ[si].append(di)
+        else:
+            witnessed.append((si, e.action, di))
+    comp, closures, parts = _closures(succ)
     order = sorted(range(len(closures)), key=closures.__getitem__)
     cid = [0] * len(closures)
     for i, c in enumerate(order):
         cid[c] = i
     sets = [NodeSet(tuple(map(ranked.__getitem__, closures[c]))) for c in order]
     nodes = tuple(sets[cid[comp[rank[n]]]] for n in aut.nodes)
-
-    witnessed = []
-    for e in aut.edges:
-        if e.action is SILENT:
-            continue
-        si = rank.get(e.source)
-        di = rank.get(e.dest)
-        if si is not None and di is not None:
-            witnessed.append((comp[si], e.action, cid[comp[di]]))
     actions = sorted({a for _, a, _ in witnessed}, key=action_key)
     action_id = {a: i for i, a in enumerate(actions)}
     # a closed edge from a component is the integer action id * k +
     # destination id, so integer order is (action, destination) order
     k = len(sets)
     out = [set() for _ in closures]
-    for c, a, d in witnessed:
-        out[c].add(action_id[a] * k + d)
+    for si, a, di in witnessed:
+        out[comp[si]].add(action_id[a] * k + cid[comp[di]])
     for c, took in enumerate(parts):
         for d in took:
             out[c] |= out[d]

@@ -84,15 +84,14 @@ def _plug(c: Stmt, frame: Path) -> Stmt:
     raise TypeError(f"not a path: {frame!r}")
 
 
-def all_locations(c: Stmt, sp: Path = TOP) -> list[Location]:
-    """Every location of the tree under `c`, in pre-order.
+def all_locations(c: Stmt) -> list[Location]:
+    """Every location of the program `c`, in pre-order.
 
     The result has exactly one entry per statement subterm; plugging any
-    entry's focus back into its path, frame by frame, rebuilds the tree
-    that plugging `c` into `sp` does.
+    entry's focus back into its path, frame by frame, rebuilds `c`.
     """
     out = []
-    stack = [(c, sp)]
+    stack = [(c, TOP)]
     while stack:
         c, sp = stack.pop()
         out.append(Location(c, sp))
