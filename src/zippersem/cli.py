@@ -230,22 +230,35 @@ def build_parser():
     kinds.add_parser("closure").add_argument("file")
     _add_input(kinds.add_parser("regular"))
     _add_input(kinds.add_parser("tausim"))
-    for k in kinds.choices.values():
-        k.set_defaults(func=cmd_check, parser=k)
+    for kind, k in kinds.choices.items():
+        # kind too: a leaf parsed on its own sets no subparser dest
+        k.set_defaults(func=cmd_check, parser=k, kind=kind)
 
-    return parser
+    leaves = {(name,): leaf for name, leaf in sub.choices.items()
+              if name != "check"}
+    leaves.update((("check", kind), k) for kind, k in kinds.choices.items())
+    return parser, leaves
 
 
-_parser = None
+_parser = _leaves = None
 
 
 def main(argv=None) -> int:
-    # Built on the first call, not at import, and reused: parse_args makes a
-    # fresh Namespace and no default is ever mutated, so calls share no state.
-    global _parser
+    # Built on the first call, not at import, and reused: parse_known_args
+    # makes a fresh Namespace and no default is ever mutated, so calls share
+    # no state.  A command line that names a command is parsed by that
+    # command's own parser, the leaf, in one argparse level; the root parser
+    # sees only lines that name none (help, unknown commands, a leading --).
+    global _parser, _leaves
     if _parser is None:
-        _parser = build_parser()
-    args, extra = _parser.parse_known_args(argv)
+        _parser, _leaves = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2] if argv[:1] == ["check"] else argv[:1])
+    leaf = _leaves.get(words)
+    if leaf is None:
+        args, extra = _parser.parse_known_args(argv)
+    else:
+        args, extra = leaf.parse_known_args(argv[len(words):])
     # errors go through the subcommand's parser, whose usage names it
     if extra:
         # an unknown option before an optional file lets argparse bind the

@@ -1,25 +1,29 @@
-"""The README's quick tour runs as printed, on exactly the package exports."""
+"""The README's quick tour and command lines run as printed, and the quick
+tour uses exactly the package exports."""
 
 import ast
 import contextlib
 import io
 import re
+import shlex
 import types
 from pathlib import Path
 
 import zippersem
+from zippersem import cli
 
 README = Path(__file__).parent.parent / "README.md"
 
 
-def _quick_tour():
+def _block(heading, language):
+    """The first code block under a README heading."""
     text = README.read_text(encoding="utf-8")
-    return re.search(r"^## Quick tour\n\n```python\n(.*?)^```$", text,
+    return re.search(rf"^## {heading}\n\n```{language}\n(.*?)^```$", text,
                      re.M | re.S).group(1)
 
 
 def test_quick_tour_prints_its_comments():
-    block = _quick_tour()
+    block = _block("Quick tour", "python")
     expected = [line.split("# ", 1)[1].strip()
                 for line in block.splitlines() if line.startswith("print(")]
     assert expected == ["step-limit", "8 8", "True", "True"]
@@ -30,7 +34,8 @@ def test_quick_tour_prints_its_comments():
 
 
 def test_package_exports_the_quick_tour_and_parse_error():
-    imported = [alias.name for node in ast.walk(ast.parse(_quick_tour()))
+    tour = ast.parse(_block("Quick tour", "python"))
+    imported = [alias.name for node in ast.walk(tour)
                 if isinstance(node, ast.ImportFrom) and node.module == "zippersem"
                 for alias in node.names]
     assert sorted(zippersem.__all__) == sorted(imported + ["ParseError"])
@@ -40,3 +45,17 @@ def test_package_exports_the_quick_tour_and_parse_error():
     assert public == set(zippersem.__all__)
     for name in zippersem.__all__:
         assert getattr(zippersem, name).__module__.startswith("zippersem.")
+
+
+def test_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # run in order: an early line writes the automaton a later one reads
+    lines = _block("Command line", "sh").splitlines()
+    assert len(lines) == 11
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.imp").write_text(
+        "x := true; while (x) { y := false; x := false }\n", encoding="utf-8")
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "zippersem"
+        assert cli.main(argv[1:]) == 0, (line, capsys.readouterr().err)
+        capsys.readouterr()
