@@ -56,7 +56,7 @@ class _Interning(type):
 
 
 class HashConsed(metaclass=_Interning):
-    """Base of every syntax node, path frame, location, cursor and node set.
+    """Base of every syntax node, path frame, cursor and node set.
 
     Evaluation walks one fixed syntax tree and the automata compare program
     points, positions in that tree, all the time.  Hash-consing (Filliâtre

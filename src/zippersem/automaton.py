@@ -12,8 +12,8 @@ from typing import Any, NamedTuple
 
 from .ast import Assign, Cond, Seq, Skip, Stmt, While, value_literal
 from .semantics import run_trace
-from .zipper import (TOP, CondElse, CondThen, Cursor, Location, SeqLeft, Top,
-                     WhileBody, advance, all_locations, cursors_of)
+from .zipper import (TOP, CondElse, CondThen, Cursor, SeqLeft, Top, WhileBody,
+                     advance, all_locations)
 
 
 # an edge's action: the entered Assign node, or SILENT for any other step
@@ -65,24 +65,24 @@ def step_image(cur: Cursor) -> list[Cursor]:
     and its own leaving point.  A leaving point at the root has no
     successor; elsewhere it advances through the context.
     """
-    focus = cur.loc.focus
-    path = cur.loc.path
+    focus = cur.focus
+    path = cur.path
     if cur.entering:
         if isinstance(focus, (Skip, Assign)):
-            return [Cursor(cur.loc, False)]
+            return [Cursor(focus, path, False)]
         if isinstance(focus, Seq):
-            return [Cursor(Location(focus.first, SeqLeft(path, focus.second)), True)]
+            return [Cursor(focus.first, SeqLeft(path, focus.second), True)]
         if isinstance(focus, Cond):
             return [
-                Cursor(Location(focus.then_branch,
-                                CondThen(focus.test, path, focus.else_branch)), True),
-                Cursor(Location(focus.else_branch,
-                                CondElse(focus.test, focus.then_branch, path)), True),
+                Cursor(focus.then_branch,
+                       CondThen(focus.test, path, focus.else_branch), True),
+                Cursor(focus.else_branch,
+                       CondElse(focus.test, focus.then_branch, path), True),
             ]
         if isinstance(focus, While):
             return [
-                Cursor(Location(focus.body, WhileBody(focus.test, path)), True),
-                Cursor(cur.loc, False),
+                Cursor(focus.body, WhileBody(focus.test, path), True),
+                Cursor(focus, path, False),
             ]
         raise TypeError(f"not a statement: {focus!r}")
     if isinstance(path, Top):
@@ -93,8 +93,8 @@ def step_image(cur: Cursor) -> list[Cursor]:
 def action_of(cur: Cursor) -> Assign | None:
     """Entering an assignment is the only observable step; its action is
     the Assign node itself."""
-    if cur.entering and isinstance(cur.loc.focus, Assign):
-        return cur.loc.focus
+    if cur.entering and isinstance(cur.focus, Assign):
+        return cur.focus
     return SILENT
 
 
@@ -107,12 +107,14 @@ def edges_of(cur: Cursor) -> list[Edge]:
 def program_automaton(c: Stmt) -> Automaton:
     """Compile a statement to its program-point automaton.
 
-    Nodes are both cursors of every location in pre-order, so the node
-    count is twice the subterm count.  The initial node enters the root.
+    Nodes are both cursors of every location in pre-order, entering
+    first, so the node count is twice the subterm count.  The initial node
+    enters the root.
     """
-    nodes = cursors_of(all_locations(c))
+    nodes = tuple(Cursor(focus, path, entering) for focus, path in
+                  all_locations(c) for entering in (True, False))
     edges = tuple(e for cur in nodes for e in edges_of(cur))
-    return Automaton(tuple(nodes), edges, Cursor(Location(c, TOP), True))
+    return Automaton(nodes, edges, Cursor(c, TOP, True))
 
 
 def is_regular(aut: Automaton) -> bool:

@@ -110,10 +110,6 @@ def cmd_tauclose(args):
         print("warning: input automaton is not regular "
               "(initial node or an edge endpoint is outside the node list)",
               file=sys.stderr)
-        if base.init not in base.nodes:
-            # output node ids are positions in the node list
-            raise ValueError("the closed automaton has no node id for an "
-                             "initial node outside the node list")
     closed = close_automaton(base)
     if args.format == "dot":
         text = formats.closed_automaton_dot(base, closed)

@@ -118,11 +118,11 @@ _PROGRAM_NODE_ROW = ('{\n      "flag": %s,\n      "focus": %s,\n      "id": %d,'
 
 def program_automaton_json_text(aut: Automaton) -> str:
     """JSON text for a cursor-noded automaton."""
-    # two cursors share each location; equal subterms are one object
+    # two cursors share each focus; equal subterms are one object
     focus = cache(lambda c: encode_basestring(print_program(c)))
     return automaton_json_text(aut, lambda n, i: _PROGRAM_NODE_ROW % (
-        "true" if n.entering else "false", focus(n.loc.focus), i,
-        encode_basestring(render_path(n.loc.path))))
+        "true" if n.entering else "false", focus(n.focus), i,
+        encode_basestring(render_path(n.path))))
 
 
 def _member_ids(base: Automaton):
@@ -270,20 +270,20 @@ def trace_json_text(trace: Trace) -> str:
             state = cfg.state
             state_text = _state_text(state)
         rows.append(_TRACE_ROW % ("true" if cur.entering else "false",
-                                  path_text(cur.loc.path),
+                                  path_text(cur.path),
                                   encode_basestring(rule), state_text, i))
     return "".join([*_rows(rows, ""), "\n"])
 
 
 def trace_text(trace: Trace) -> str:
-    """One line per configuration; locations and states render once."""
-    where = cache(lambda loc: f"{print_program(loc.focus)} @ {render_path(loc.path)}")
+    """One line per configuration; cursors and states render once."""
+    where = cache(lambda cur: f"{'↓' if cur.entering else '↑'}"
+                  f"{print_program(cur.focus)} @ {render_path(cur.path)}")
     state = state_text = None
     lines = []
     for i, rule, cfg in _trace_rows(trace):
         if cfg.state is not state:
             state = cfg.state
             state_text = render_state(state)
-        arrow = "↓" if cfg.cursor.entering else "↑"
-        lines.append(f"{i}: {rule} | {arrow}{where(cfg.cursor.loc)} | {state_text}")
+        lines.append(f"{i}: {rule} | {where(cfg.cursor)} | {state_text}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Small-step operational semantics over cursors.
 
-A configuration pairs a cursor (location plus direction flag) with a state,
+A configuration pairs a cursor (focus, path and direction flag) with a state,
 a finite map from variable names to values.  Reading an unassigned variable
 yields null, which is distinct from a stored null binding only in the map's
 key set.  Execution is a walk of the fixed syntax tree: the statement is
@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .ast import (FALSE, NULL, TRUE, Assign, Cond, Expr, Lit, Seq, Skip,
                   Stmt, Value, Var, While)
-from .zipper import (TOP, CondElse, CondThen, Cursor, Location, SeqLeft, Top,
-                     WhileBody, advance, render_path)
+from .zipper import (TOP, CondElse, CondThen, Cursor, SeqLeft, Top, WhileBody,
+                     advance, render_path)
 
 State = dict  # variable name -> Value
 
@@ -40,7 +40,7 @@ def eval_expr(e: Expr, s: State) -> Value:
 
 
 def _leave(cur: Cursor) -> Cursor:
-    return Cursor(cur.loc, False)
+    return Cursor(cur.focus, cur.path, False)
 
 
 def sem_step(cfg: Config):
@@ -51,31 +51,31 @@ def sem_step(cfg: Config):
     immutable, assignment builds a fresh map.
     """
     cur, s = cfg
-    focus = cur.loc.focus
-    path = cur.loc.path
+    focus = cur.focus
+    path = cur.path
     if cur.entering:
         if isinstance(focus, Skip):
             return Config(_leave(cur), s), "SEmpty"
         if isinstance(focus, Assign):
             return Config(_leave(cur), {**s, focus.name: focus.value}), "SAssign"
         if isinstance(focus, Seq):
-            nxt = Cursor(Location(focus.first, SeqLeft(path, focus.second)), True)
+            nxt = Cursor(focus.first, SeqLeft(path, focus.second), True)
             return Config(nxt, s), "SSeq"
         if isinstance(focus, Cond):
             v = eval_expr(focus.test, s)
             if v == TRUE:
-                nxt = Cursor(Location(focus.then_branch,
-                                      CondThen(focus.test, path, focus.else_branch)), True)
+                nxt = Cursor(focus.then_branch,
+                             CondThen(focus.test, path, focus.else_branch), True)
                 return Config(nxt, s), "SCondT"
             if v == FALSE:
-                nxt = Cursor(Location(focus.else_branch,
-                                      CondElse(focus.test, focus.then_branch, path)), True)
+                nxt = Cursor(focus.else_branch,
+                             CondElse(focus.test, focus.then_branch, path), True)
                 return Config(nxt, s), "SCondF"
             return None  # null condition, stuck
         if isinstance(focus, While):
             v = eval_expr(focus.test, s)
             if v == TRUE:
-                nxt = Cursor(Location(focus.body, WhileBody(focus.test, path)), True)
+                nxt = Cursor(focus.body, WhileBody(focus.test, path), True)
                 return Config(nxt, s), "SWhileT"
             if v == FALSE:
                 return Config(_leave(cur), s), "SWhileF"
@@ -88,7 +88,7 @@ def sem_step(cfg: Config):
 
 def is_terminal(cfg: Config) -> bool:
     """Leaving the root, nothing left to run."""
-    return not cfg.cursor.entering and isinstance(cfg.cursor.loc.path, Top)
+    return not cfg.cursor.entering and isinstance(cfg.cursor.path, Top)
 
 
 class Trace(NamedTuple):
@@ -104,7 +104,7 @@ class Trace(NamedTuple):
 
 def run_trace(c: Stmt, state: State, max_steps: int = 10000) -> Trace:
     """Run from the entering-root configuration for at most max_steps steps."""
-    start = cfg = Config(Cursor(Location(c, TOP), True), dict(state))
+    start = cfg = Config(Cursor(c, TOP, True), dict(state))
     steps = []
     for _ in range(max_steps):
         res = sem_step(cfg)
@@ -116,5 +116,5 @@ def run_trace(c: Stmt, state: State, max_steps: int = 10000) -> Trace:
         return Trace(start, steps, TERMINATED)
     if sem_step(cfg) is None:
         return Trace(start, steps, STUCK, f"condition evaluated to null at "
-                     f"{render_path(cfg.cursor.loc.path)}")
+                     f"{render_path(cfg.cursor.path)}")
     return Trace(start, steps, STEP_LIMIT)

@@ -24,7 +24,7 @@ live in the tests as oracles, which pin this route against them.
 
 check_tau_simulation closes its input itself, so the closure it checks
 is the one close_automaton computes, and `zippersem check tausim` closes
-once.
+at most once.
 """
 
 from functools import cached_property
@@ -46,11 +46,11 @@ def node_order(nodes):
     total over mixed ids, such as ints and strings side by side.  Cursors
     of different trees with equal rendered paths tie.
     """
-    ranks = path_ranks(n.loc.path for n in nodes if isinstance(n, Cursor))
+    ranks = path_ranks(n.path for n in nodes if isinstance(n, Cursor))
 
     def key(n):
         if isinstance(n, Cursor):
-            return (2, ranks[n.loc.path], n.entering)
+            return (2, ranks[n.path], n.entering)
         if isinstance(n, str):
             return (1, n)
         if n is None:
@@ -71,11 +71,6 @@ class NodeSet(HashConsed):
     @cached_property
     def _set(self):
         return frozenset(self.members)
-
-    @classmethod
-    def from_iter(cls, it) -> "NodeSet":
-        nodes = set(it)
-        return cls(tuple(sorted(nodes, key=node_order(nodes))))
 
     def __contains__(self, n):
         return n in self._set
@@ -172,15 +167,18 @@ def close_automaton(aut: Automaton) -> Automaton:
     component's members plus those of the successor closures it was built
     from.  Edges with an endpoint outside the node list are skipped, they
     cannot be witnessed (sources because closures only hold nodes,
-    destinations because their closure contains a non-node).  An initial
-    node outside the node list is closed too: its closure is itself plus
-    the closures of the nodes one silent edge away.
+    destinations because their closure contains a non-node).  Raises
+    ValueError for an initial node outside the node list, which has no
+    closed node.
     """
     # a node's rank is its position in node_order; comparing closures as
     # rank tuples orders them as comparing their members' sort keys would
     distinct = list(dict.fromkeys(aut.nodes))
     ranked = sorted(distinct, key=node_order(distinct))
     rank = {n: r for r, n in enumerate(ranked)}
+    if aut.init not in rank:
+        raise ValueError("the closed automaton has no node id for an "
+                         "initial node outside the node list")
     succ = [[] for _ in ranked]
     witnessed = []
     for e in aut.edges:
@@ -214,25 +212,14 @@ def close_automaton(aut: Automaton) -> Automaton:
     for c in order:
         src = sets[cid[c]]
         edges += [Edge(src, actions[t // k], sets[t % k]) for t in sorted(out[c])]
-
-    ri = rank.get(aut.init)
-    if ri is not None:
-        init = sets[cid[comp[ri]]]
-    else:
-        seed = {aut.init}
-        reached = set()
-        for e in aut.edges:
-            if e.action is SILENT and e.source in seed and e.dest in rank:
-                reached.update(closures[comp[rank[e.dest]]])
-        init = NodeSet.from_iter([aut.init, *(ranked[j] for j in reached)])
-    return Automaton(nodes, tuple(edges), init)
+    return Automaton(nodes, tuple(edges), sets[cid[comp[rank[aut.init]]]])
 
 
 class TauSimReport(NamedTuple):
     """Outcome of the weak simulation witness check."""
     checked_pairs: int
     ok: bool
-    violation: tuple | None = None  # (node, node set, Edge or None, reason)
+    violation: tuple | None = None  # (node, node set or None, Edge or None, reason)
 
 
 def check_tau_simulation(m: Automaton) -> TauSimReport:
@@ -245,7 +232,8 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     stay related to S itself, a non-silent edge must be matched by an
     mc-edge from S with the same action whose destination relates to the
     destination node.  In a closure every member is a node of m, and the
-    initial nodes are related iff m.init is a node of m.
+    initial nodes are related iff m.init is a node of m, which is tested
+    first: an automaton that fails it is reported and not closed.
 
     The closed edges are indexed by source as (action, destination) ids.
     A non-silent m-edge s -a-> d needs the id of (a, closed node of d),
@@ -255,10 +243,10 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     S that fails them has its members' edges gathered and scanned edge
     by edge, so the report is the scan's.
     """
-    mc = close_automaton(m)
     if m.init not in m.nodes:
-        return TauSimReport(0, False, (m.init, mc.init, None,
+        return TauSimReport(0, False, (m.init, None, None,
                                        "initial nodes are not related"))
+    mc = close_automaton(m)
     closed_of = dict(zip(m.nodes, mc.nodes))
     targets = {}        # (action, closed node) -> id
     stays = {}          # node -> destinations of its silent edges

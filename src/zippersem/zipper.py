@@ -1,11 +1,11 @@
 """Zipper navigation in statement trees.
 
-A Location pairs a focused substatement with its inverted context (Path):
-the chain of enclosing constructors seen from the focus outward.  Rebuilding
-the original tree is a fold over that chain.  A Cursor adds a direction flag
-to a location: entering means the focus is about to run, leaving means it
-just finished.  Cursors are the program points that automaton compilation
-uses as nodes.
+A location is a focused substatement and its inverted context (Path): the
+chain of enclosing constructors seen from the focus outward.  Rebuilding
+the original tree is a fold over that chain.  A Cursor is a program point:
+a focus, its path and a direction flag, where entering means the focus is
+about to run and leaving means it just finished.  Cursors are the nodes of
+the compiled automata and the positions of the semantics.
 """
 
 from .ast import Cond, Expr, HashConsed, Seq, Stmt, While
@@ -54,18 +54,14 @@ class WhileBody(Path):
 TOP = Top()
 
 
-class Location(HashConsed):
-    focus: Stmt
-    path: Path
-
-
 class Cursor(HashConsed):
-    """A program point: a location plus a direction flag.
+    """A program point: a focus, its path and a direction flag.
 
     entering=True sits just before the focus runs, entering=False just
     after it finished.
     """
-    loc: Location
+    focus: Stmt
+    path: Path
     entering: bool
 
 
@@ -84,8 +80,9 @@ def _plug(c: Stmt, frame: Path) -> Stmt:
     raise TypeError(f"not a path: {frame!r}")
 
 
-def all_locations(c: Stmt) -> list[Location]:
-    """Every location of the program `c`, in pre-order.
+def all_locations(c: Stmt) -> list[tuple[Stmt, Path]]:
+    """Every location of the program `c` as a (focus, path) pair, in
+    pre-order.
 
     The result has exactly one entry per statement subterm; plugging any
     entry's focus back into its path, frame by frame, rebuilds `c`.
@@ -94,7 +91,7 @@ def all_locations(c: Stmt) -> list[Location]:
     stack = [(c, TOP)]
     while stack:
         c, sp = stack.pop()
-        out.append(Location(c, sp))
+        out.append((c, sp))
         if isinstance(c, Seq):
             stack.append((c.second, SeqRight(c.first, sp)))
             stack.append((c.first, SeqLeft(sp, c.second)))
@@ -114,19 +111,10 @@ def advance(c: Stmt, sp: Path) -> Cursor:
     statement; finishing a loop body re-enters the loop header.
     """
     if isinstance(sp, Top):
-        return Cursor(Location(c, sp), False)
+        return Cursor(c, sp, False)
     if isinstance(sp, SeqLeft):
-        return Cursor(Location(sp.after, SeqRight(c, sp.up)), True)
-    return Cursor(Location(_plug(c, sp), sp.up), isinstance(sp, WhileBody))
-
-
-def cursors_of(locations) -> list[Cursor]:
-    """Both program points of each location, entering first."""
-    out = []
-    for loc in locations:
-        out.append(Cursor(loc, True))
-        out.append(Cursor(loc, False))
-    return out
+        return Cursor(sp.after, SeqRight(c, sp.up), True)
+    return Cursor(_plug(c, sp), sp.up, isinstance(sp, WhileBody))
 
 
 _SEGMENT = {
@@ -184,4 +172,4 @@ def path_ranks(paths) -> dict:
 
 def render_cursor(cur: Cursor) -> str:
     arrow = "↓" if cur.entering else "↑"
-    return f"{render_path(cur.loc.path)} {arrow}"
+    return f"{render_path(cur.path)} {arrow}"

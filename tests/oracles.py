@@ -7,19 +7,22 @@ route, tauclose.close_automaton, against both.  node_key is the rendered
 sort key that tauclose.node_order reproduces with integer path ranks, and
 tau_simulation_scan is the edge-scanning witness check that
 tauclose.check_tau_simulation answers with set lookups; both were the
-library's routes before and are kept as their specifications.
+library's routes before and are kept as their specifications.  node_set
+builds a closed node from any nodes in node_key order; the oracle
+closures use it, also for a seed outside the node list, which
+close_automaton refuses.
 position_renaming is the automaton that a positional JSON export
 re-imports as.  subterm_count is the recursive specification of the
 number of locations of a tree, and reconstruct plugs a focus back into
 its path frame by frame: the zipper law of criterion 3 is that every
-location of a tree reconstructs to that tree.
+(focus, path) location of a tree reconstructs to that tree.
 """
 
 from zippersem.ast import Assign, Cond, Seq, Skip, Stmt, While
 from zippersem.automaton import SILENT, Automaton, Edge
 from zippersem.tauclose import NodeSet, TauSimReport
-from zippersem.zipper import (CondElse, CondThen, Cursor, Location, Path,
-                              SeqLeft, SeqRight, Top, WhileBody, render_path)
+from zippersem.zipper import (CondElse, CondThen, Cursor, Path, SeqLeft,
+                              SeqRight, Top, WhileBody, render_path)
 
 
 def subterm_count(c: Stmt) -> int:
@@ -54,20 +57,26 @@ def reconstruct(c: Stmt, sp: Path) -> Stmt:
     return c
 
 
-def reconstruct_loc(loc: Location) -> Stmt:
-    return reconstruct(loc.focus, loc.path)
+def reconstruct_loc(loc: tuple[Stmt, Path]) -> Stmt:
+    return reconstruct(*loc)
 
 
 def node_key(n):
     """Canonical sort key: numbers numerically, then strings, then cursors
     by (rendered path, flag), then null."""
     if isinstance(n, Cursor):
-        return (2, render_path(n.loc.path), n.entering)
+        return (2, render_path(n.path), n.entering)
     if isinstance(n, str):
         return (1, n)
     if n is None:
         return (3,)
     return (0, n)
+
+
+def node_set(it) -> NodeSet:
+    """The closed node of the given nodes: distinct, in node_key order."""
+    nodes = set(it)
+    return NodeSet(tuple(sorted(nodes, key=node_key)))
 
 
 def closure_step(aut: Automaton, seed, x) -> frozenset:
@@ -90,7 +99,7 @@ def tau_closure(aut: Automaton, seed) -> NodeSet:
     while True:
         y = closure_step(aut, seed, x)
         if y == x:
-            return NodeSet.from_iter(x)
+            return node_set(x)
         x = y
 
 
@@ -109,7 +118,7 @@ def closure_bfs(aut: Automaton, seed) -> NodeSet:
                     seen.add(e.dest)
                     nxt.append(e.dest)
         frontier = nxt
-    return NodeSet.from_iter(seen)
+    return node_set(seen)
 
 
 def position_renaming(aut: Automaton) -> Automaton:
@@ -127,7 +136,7 @@ def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
     scan: each m-edge is matched against every mc-edge of its related
     closed node."""
     if m.init not in m.nodes:
-        return TauSimReport(0, False, (m.init, mc.init, None,
+        return TauSimReport(0, False, (m.init, None, None,
                                        "initial nodes are not related"))
     m_out = {}
     for e in m.edges:

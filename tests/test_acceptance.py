@@ -108,8 +108,10 @@ def test_criterion_3_zipper_laws(program_corpus):
             locset = set(locs)
             for loc in locs:
                 assert reconstruct_loc(loc) == c
-                if not isinstance(loc.path, Top):
-                    assert advance(loc.focus, loc.path).loc in locset
+                focus, path = loc
+                if not isinstance(path, Top):
+                    cur = advance(focus, path)
+                    assert (cur.focus, cur.path) in locset
 
 
 def test_criterion_4_compiled_automata_are_closed(program_corpus):

@@ -14,7 +14,7 @@ from zippersem.ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, HashConsed,
 from zippersem.automaton import check_simulation, program_automaton
 from zippersem.semantics import run_trace
 from zippersem.tauclose import NodeSet, close_automaton
-from zippersem.zipper import TOP, Cursor, Location, SeqLeft
+from zippersem.zipper import TOP, Cursor, SeqLeft
 
 LOOP_SRC = "while (e) { x := true; y := false }"
 
@@ -163,14 +163,14 @@ def test_repr_is_the_dataclass_repr():
         "Cond(test=Var(name='b'), then_branch=Seq(first=Skip(), "
         "second=Assign(name='x', value=Null())), else_branch=While("
         "test=Lit(value=Bool(value=True)), body=Skip()))")
-    assert repr(Cursor(Location(Skip(), SeqLeft(TOP, Skip())), True)) == (
-        "Cursor(loc=Location(focus=Skip(), path=SeqLeft(up=Top(), "
-        "after=Skip())), entering=True)")
+    assert repr(Cursor(Skip(), SeqLeft(TOP, Skip()), True)) == (
+        "Cursor(focus=Skip(), path=SeqLeft(up=Top(), after=Skip()), "
+        "entering=True)")
     assert repr(NodeSet((1, "a"))) == "NodeSet(members=(1, 'a'))"
 
 
 def test_nodes_are_immutable_and_take_every_field():
-    fields = [(Var("x"), "name"), (Cursor(Location(Skip(), TOP), True), "loc"),
+    fields = [(Var("x"), "name"), (Cursor(Skip(), TOP, True), "path"),
               (NodeSet((1, 2)), "members")]
     for node, field in fields:
         value = getattr(node, field)
@@ -181,7 +181,7 @@ def test_nodes_are_immutable_and_take_every_field():
         with pytest.raises(AttributeError):
             node.extra = 1
         assert getattr(node, field) is value
-    for make in (Var, lambda: Var("x", "y"), lambda: Cursor(Location(Skip(), TOP)),
+    for make in (Var, lambda: Var("x", "y"), lambda: Cursor(Skip(), TOP),
                  lambda: NodeSet((1,), (2,)), lambda: Skip(1)):
         with pytest.raises(TypeError):
             make()

@@ -11,14 +11,13 @@ from zippersem.automaton import (SILENT, Automaton, Edge, action_effect,
                                  edges_of, is_regular, nodes_closed,
                                  program_automaton, render_action, step_image)
 from zippersem.semantics import run_trace
-from zippersem.zipper import (TOP, Cursor, Location, all_locations,
-                              render_path)
+from zippersem.zipper import TOP, Cursor, all_locations, render_path
 
 LOOP = parse_program("while (e) { x := true; y := false }")
 
 
 def _cursor(c, entering=True, path=TOP):
-    return Cursor(Location(c, path), entering)
+    return Cursor(c, path, entering)
 
 
 def test_action_effect():
@@ -40,7 +39,7 @@ def test_step_image_examples():
     assert step_image(_cursor(Skip(), entering=False)) == []
     img = step_image(_cursor(LOOP))
     assert len(img) == 2
-    assert img[0].entering and render_path(img[0].loc.path) == "body"
+    assert img[0].entering and render_path(img[0].path) == "body"
     assert img[1] == _cursor(LOOP, entering=False)
 
 
@@ -48,9 +47,9 @@ def test_step_image_sizes():
     rng = random.Random(11)
     for _ in range(100):
         c = random_program(rng)
-        for loc in all_locations(c):
-            assert 1 <= len(step_image(Cursor(loc, True))) <= 2
-            assert len(step_image(Cursor(loc, False))) <= 1
+        for focus, path in all_locations(c):
+            assert 1 <= len(step_image(Cursor(focus, path, True))) <= 2
+            assert len(step_image(Cursor(focus, path, False))) <= 1
 
 
 def test_action_of():
@@ -61,10 +60,10 @@ def test_action_of():
     # an entering assignment's action is the program's own Assign node
     rng = random.Random(12)
     for _ in range(200):
-        for loc in all_locations(random_program(rng)):
-            for c in (Cursor(loc, True), Cursor(loc, False)):
-                if c.entering and isinstance(loc.focus, Assign):
-                    assert action_of(c) is c.loc.focus
+        for focus, path in all_locations(random_program(rng)):
+            for c in (Cursor(focus, path, True), Cursor(focus, path, False)):
+                if c.entering and isinstance(focus, Assign):
+                    assert action_of(c) is c.focus
                 else:
                     assert action_of(c) is SILENT
 

@@ -421,6 +421,18 @@ def test_check_tausim_closes_the_automaton_once(tmp_path, capsys, monkeypatch,
     assert main(["check", "tausim", "--automaton",
                  str(fixtures_dir / "silent_fork.json")]) == 0
     assert len(calls) == 2
+    # an initial node outside the node list is reported before any close
+    foreign = write(tmp_path, "foreign.json", json.dumps(
+        {"nodes": [1, 2],
+         "edges": [{"source": 1, "action": {"kind": "none"}, "dest": 2}],
+         "init": 7}))
+    capsys.readouterr()
+    assert main(["check", "tausim", "--automaton", foreign]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ("tausim: 0 related pairs checked, FAIL\n"
+                            "violation: initial nodes are not related\n")
+    assert captured.err == "warning: input automaton is not regular\n"
+    assert len(calls) == 2
 
 
 def test_check_closure_runs_each_predicate_once(tmp_path, capsys, monkeypatch):

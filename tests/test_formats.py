@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import position_renaming
+from oracles import node_set, position_renaming
 from randgen import random_automaton, random_program, random_state
 from zippersem.ast import FALSE, TRUE, Assign, parse_program
 from zippersem.automaton import (SILENT, Automaton, Edge, is_regular,
@@ -20,7 +20,7 @@ from zippersem.formats import (action_from_json, automaton_dot,
                                program_automaton_json_text, render_node,
                                render_state, trace_json_text, trace_text)
 from zippersem.semantics import run_trace
-from zippersem.tauclose import NodeSet, close_automaton
+from zippersem.tauclose import close_automaton
 
 LOOP = parse_program("while (true) { x := true; y := false }")
 
@@ -95,8 +95,8 @@ def test_action_json_roundtrip():
 def test_render_node_dispatch():
     aut = program_automaton(LOOP)
     assert render_node(aut.init) == "@top ↓"
-    assert render_node(NodeSet.from_iter([2, 1])) == "{1, 2}"
-    assert render_node(NodeSet.from_iter([aut.init])) == "{@top ↓}"
+    assert render_node(node_set([2, 1])) == "{1, 2}"
+    assert render_node(node_set([aut.init])) == "{@top ↓}"
     assert render_node(7) == "7"
 
 
@@ -174,7 +174,7 @@ def test_renaming_commutes_with_closure_memberwise():
         closed_before = close_automaton(m)
 
         def mapped(ns):
-            return NodeSet.from_iter(ids[x] for x in ns)
+            return node_set(ids[x] for x in ns)
 
         assert list(closed_after.nodes) == [mapped(ns) for ns in closed_before.nodes]
         assert closed_after.init == mapped(closed_before.init)

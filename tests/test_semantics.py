@@ -14,14 +14,13 @@ from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
 from zippersem.automaton import action_effect, action_of, step_image
 from zippersem.semantics import (STEP_LIMIT, STUCK, TERMINATED, Config,
                                  eval_expr, is_terminal, run_trace, sem_step)
-from zippersem.zipper import (TOP, Cursor, Location, Top, all_locations,
-                              cursors_of, render_path)
+from zippersem.zipper import TOP, Cursor, Top, all_locations, render_path
 
 LOOP = parse_program("while (true) { x := true; y := false }")
 
 
 def _cfg(c, entering=True, state=None, path=TOP):
-    return Config(Cursor(Location(c, path), entering), dict(state or {}))
+    return Config(Cursor(c, path, entering), dict(state or {}))
 
 
 def test_eval_expr():
@@ -50,16 +49,16 @@ def test_step_seq_descends_into_first_arm():
     nxt, rule = sem_step(_cfg(c))
     assert rule == "SSeq"
     assert nxt.cursor.entering
-    assert nxt.cursor.loc.focus == Skip()
-    assert render_path(nxt.cursor.loc.path) == "seqL"
+    assert nxt.cursor.focus == Skip()
+    assert render_path(nxt.cursor.path) == "seqL"
 
 
 def test_cond_rules_follow_the_state():
     c = Cond(Var("b"), Skip(), Assign("x", TRUE))
     nxt, rule = sem_step(_cfg(c, state={"b": TRUE}))
-    assert rule == "SCondT" and nxt.cursor.loc.focus == Skip()
+    assert rule == "SCondT" and nxt.cursor.focus == Skip()
     nxt, rule = sem_step(_cfg(c, state={"b": FALSE}))
-    assert rule == "SCondF" and nxt.cursor.loc.focus == Assign("x", TRUE)
+    assert rule == "SCondF" and nxt.cursor.focus == Assign("x", TRUE)
     # null test: no rule applies
     assert sem_step(_cfg(c)) is None
     assert sem_step(_cfg(c, state={"b": NULL})) is None
@@ -68,18 +67,18 @@ def test_cond_rules_follow_the_state():
 def test_while_rules():
     nxt, rule = sem_step(_cfg(LOOP))
     assert rule == "SWhileT"
-    assert nxt.cursor.entering and render_path(nxt.cursor.loc.path) == "body"
+    assert nxt.cursor.entering and render_path(nxt.cursor.path) == "body"
     nxt, rule = sem_step(_cfg(While(Lit(FALSE), Skip())))
     assert rule == "SWhileF" and not nxt.cursor.entering
     assert sem_step(_cfg(While(Var("e"), Skip()))) is None
 
 
 def test_leaving_a_non_root_position_advances():
-    cfg = Config(Cursor(all_locations(LOOP)[2], False), {})  # body/seqL, done
+    cfg = Config(Cursor(*all_locations(LOOP)[2], False), {})  # body/seqL, done
     nxt, rule = sem_step(cfg)
     assert rule == "SFalse"
     assert nxt.cursor.entering
-    assert render_path(nxt.cursor.loc.path) == "body/seqR"
+    assert render_path(nxt.cursor.path) == "body/seqR"
     assert nxt.state == {}
 
 
@@ -114,7 +113,7 @@ def test_run_trace_loop_hits_step_limit():
     tr = run_trace(LOOP, {}, 4)
     assert tr.status == STEP_LIMIT
     configs = [tr.start] + [cfg for cfg, _rule in tr.steps]
-    rows = [(render_path(cfg.cursor.loc.path), cfg.cursor.entering, cfg.state)
+    rows = [(render_path(cfg.cursor.path), cfg.cursor.entering, cfg.state)
             for cfg in configs]
     assert rows == [
         ("@top", True, {}),
@@ -129,8 +128,8 @@ def test_run_trace_loop_hits_step_limit():
 
 def applicable_rules(cfg):
     """Independent transcription of the eight rule premises."""
-    focus = cfg.cursor.loc.focus
-    path = cfg.cursor.loc.path
+    focus = cfg.cursor.focus
+    path = cfg.cursor.path
     entering = cfg.cursor.entering
     s = cfg.state
     rules = []
@@ -158,7 +157,9 @@ def test_at_most_one_rule_applies_and_sem_step_picks_it():
     for _ in range(150):
         c = random_program(rng)
         state = random_state(rng)
-        for cur in cursors_of(all_locations(c)):
+        cursors = [Cursor(focus, path, entering) for focus, path in
+                   all_locations(c) for entering in (True, False)]
+        for cur in cursors:
             cfg = Config(cur, dict(state))
             rules = applicable_rules(cfg)
             assert len(rules) <= 1
@@ -178,8 +179,9 @@ def test_steps_preserve_the_tree_and_match_the_successor_map():
         prev = tr.start
         for cfg, _rule in tr.steps:
             # the walked tree never changes and the cursor stays inside it
-            assert reconstruct_loc(cfg.cursor.loc) == c
-            assert cfg.cursor.loc in locs
+            loc = (cfg.cursor.focus, cfg.cursor.path)
+            assert reconstruct_loc(loc) == c
+            assert loc in locs
             # the move is one of the static successors, the state change
             # is the effect of the source point's action
             assert cfg.cursor in step_image(prev.cursor)

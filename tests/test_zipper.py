@@ -1,15 +1,17 @@
-"""Locations, reconstruction and the advance function."""
+"""Locations, cursors, reconstruction and the advance function."""
 
+import gc
 import random
+from collections import Counter
 
 from oracles import reconstruct, reconstruct_loc, subterm_count
 from randgen import random_program
-from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var, While,
-                           parse_program)
-from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, Location,
-                              SeqLeft, SeqRight, Top, WhileBody, advance,
-                              all_locations, cursors_of, render_cursor,
-                              render_path)
+from zippersem.ast import (FALSE, TRUE, Assign, Cond, HashConsed, Seq, Skip,
+                           Var, While, parse_program)
+from zippersem.automaton import program_automaton
+from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, SeqLeft,
+                              SeqRight, Top, WhileBody, advance, all_locations,
+                              render_cursor, render_path)
 
 LOOP = parse_program("while (e) { x := true; y := false }")
 A1 = Assign("x", TRUE)
@@ -41,50 +43,50 @@ def test_reconstruct_cond_frames():
 def test_all_locations_of_seq():
     c = Seq(Skip(), Skip())
     assert all_locations(c) == [
-        Location(c, TOP),
-        Location(Skip(), SeqLeft(TOP, Skip())),
-        Location(Skip(), SeqRight(Skip(), TOP)),
+        (c, TOP),
+        (Skip(), SeqLeft(TOP, Skip())),
+        (Skip(), SeqRight(Skip(), TOP)),
     ]
 
 
 def test_all_locations_loop_paths_in_preorder():
-    assert [render_path(loc.path) for loc in all_locations(LOOP)] == [
+    assert [render_path(path) for _, path in all_locations(LOOP)] == [
         "@top", "body", "body/seqL", "body/seqR"]
 
 
 def test_advance_equations():
     e = Var("e")
     # at the root, leaving stays put with the flag down
-    assert advance(Skip(), TOP) == Cursor(Location(Skip(), TOP), False)
+    assert advance(Skip(), TOP) == Cursor(Skip(), TOP, False)
     # finishing the first arm of a seq enters the second arm
-    assert advance(A1, SeqLeft(TOP, A2)) == \
-        Cursor(Location(A2, SeqRight(A1, TOP)), True)
+    assert advance(A1, SeqLeft(TOP, A2)) == Cursor(A2, SeqRight(A1, TOP), True)
     # finishing the second arm leaves the whole seq, the original node
-    assert advance(A2, SeqRight(A1, TOP)) == Cursor(Location(BODY, TOP), False)
-    assert advance(A2, SeqRight(A1, TOP)).loc.focus is BODY
+    assert advance(A2, SeqRight(A1, TOP)) == Cursor(BODY, TOP, False)
+    assert advance(A2, SeqRight(A1, TOP)).focus is BODY
     # finishing either branch leaves the conditional
     c = Cond(e, A1, A2)
-    assert advance(A1, CondThen(e, TOP, A2)) == Cursor(Location(c, TOP), False)
-    assert advance(A2, CondElse(e, A1, TOP)) == Cursor(Location(c, TOP), False)
+    assert advance(A1, CondThen(e, TOP, A2)) == Cursor(c, TOP, False)
+    assert advance(A2, CondElse(e, A1, TOP)) == Cursor(c, TOP, False)
     # finishing a loop body re-enters the loop header
-    assert advance(BODY, WhileBody(e, TOP)) == Cursor(Location(LOOP, TOP), True)
+    assert advance(BODY, WhileBody(e, TOP)) == Cursor(LOOP, TOP, True)
 
 
-def test_cursors_of_gives_both_flags_entering_first():
-    locs = all_locations(Seq(Skip(), Skip()))
-    cursors = cursors_of(locs)
+def test_program_nodes_give_both_flags_entering_first():
+    c = Seq(Skip(), Skip())
+    locs = all_locations(c)
+    cursors = program_automaton(c).nodes
     assert len(cursors) == 6
     for i, cur in enumerate(cursors):
-        assert cur.loc == locs[i // 2]
+        assert (cur.focus, cur.path) == locs[i // 2]
         assert cur.entering == (i % 2 == 0)
 
 
 def test_render_path_and_cursor():
     assert render_path(TOP) == "@top"
-    assert render_cursor(Cursor(Location(Skip(), TOP), True)) == "@top ↓"
-    assert render_cursor(Cursor(Location(Skip(), TOP), False)) == "@top ↑"
+    assert render_cursor(Cursor(Skip(), TOP, True)) == "@top ↓"
+    assert render_cursor(Cursor(Skip(), TOP, False)) == "@top ↑"
     deep = all_locations(Cond(Var("b"), Skip(), While(Var("e"), Skip())))
-    assert [render_path(loc.path) for loc in deep] == [
+    assert [render_path(path) for _, path in deep] == [
         "@top", "condT", "condF", "condF/body"]
 
 
@@ -104,7 +106,34 @@ def test_random_advance_stays_inside_location_set():
     for _ in range(200):
         c = random_program(rng)
         locs = set(all_locations(c))
-        for loc in locs:
-            if isinstance(loc.path, Top):
+        for focus, path in locs:
+            if isinstance(path, Top):
                 continue
-            assert advance(loc.focus, loc.path).loc in locs
+            cur = advance(focus, path)
+            assert (cur.focus, cur.path) in locs
+
+
+def _live_by_type():
+    counts = Counter()
+    for ref in list(HashConsed._live.values()):
+        node = ref()
+        if node is not None:
+            counts[type(node)] += 1
+    return counts
+
+
+def test_compile_adds_one_object_per_program_point():
+    # names no other test uses, so no frame or cursor of it is live yet
+    c = parse_program(
+        "while (q1) { r1 := true; if (q2) { r2 := false } else { skip } }")
+    gc.collect()
+    before = _live_by_type()
+    aut = program_automaton(c)
+    after = _live_by_type()
+    locs = all_locations(c)
+    expected = Counter({Cursor: 2 * len(locs)})
+    expected.update(type(path) for _, path in locs if path is not TOP)
+    assert sum(expected.values()) == 2 * 6 + 5
+    assert {t: after[t] - before[t] for t in after | before
+            if after[t] != before[t]} == expected
+    assert len(aut.nodes) == 2 * len(locs)
