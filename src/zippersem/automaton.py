@@ -29,8 +29,7 @@ def render_action(a) -> str:
 
 
 class Edge(NamedTuple):
-    """A labelled transition.  A tuple, for cheap construction: never hand
-    one to a JSON writer as a value, which would print it as a list."""
+    """A labelled transition; a tuple, for cheap construction."""
     source: Any
     action: Assign | None
     dest: Any
@@ -124,16 +123,16 @@ def is_regular(aut: Automaton) -> bool:
         e.source in nodes and e.dest in nodes for e in aut.edges)
 
 
-def nodes_closed(aut: Automaton) -> bool:
-    """Static successors of every node are nodes themselves."""
-    nodes = set(aut.nodes)
-    return all(dest in nodes for n in aut.nodes for dest in step_image(n))
-
-
-def edges_closed(aut: Automaton) -> bool:
-    """Every outgoing edge of every node is in the edge list."""
-    edges = set(aut.edges)
-    return all(e in edges for n in aut.nodes for e in edges_of(n))
+def step_image_closed(aut: Automaton) -> tuple[bool, bool]:
+    """(nodes closed, edges closed), from one pass over each node's edges:
+    every static successor is a node, and every edge is in the edge list."""
+    nodes, edges = set(aut.nodes), set(aut.edges)
+    nodes_ok = edges_ok = True
+    for n in aut.nodes:
+        for e in edges_of(n):
+            nodes_ok = nodes_ok and e.dest in nodes
+            edges_ok = edges_ok and e in edges
+    return nodes_ok, edges_ok
 
 
 class SimulationReport(NamedTuple):

@@ -13,8 +13,8 @@ import sys
 from . import formats
 from .ast import ParseError, is_valid_name, parse_program, parse_value_literal
 from .ast import print_program
-from .automaton import (check_simulation, edges_closed, is_regular,
-                        nodes_closed, program_automaton)
+from .automaton import (check_simulation, is_regular, program_automaton,
+                        step_image_closed)
 from .semantics import STEP_LIMIT, STUCK, TERMINATED, run_trace
 from .tauclose import check_tau_simulation, close_automaton
 
@@ -134,7 +134,7 @@ def cmd_check(args):
         return EXIT_OK
     if args.kind == "closure":
         aut = program_automaton(_read_program(args.file))
-        nodes_ok, edges_ok = nodes_closed(aut), edges_closed(aut)
+        nodes_ok, edges_ok = step_image_closed(aut)
         for name, value in (("nodes closed", nodes_ok), ("edges closed", edges_ok),
                             ("step image closed", nodes_ok and edges_ok)):
             print(f"{name}: {'ok' if value else 'FAIL'}")

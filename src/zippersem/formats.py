@@ -86,11 +86,7 @@ def render_node(n) -> str:
 
 
 def _node_ids(aut: Automaton) -> dict:
-    ids = {}
-    for n in aut.nodes:
-        if n not in ids:
-            ids[n] = len(ids)
-    return ids
+    return {n: i for i, n in enumerate(dict.fromkeys(aut.nodes))}
 
 
 _EDGE_ROW = '{\n      "action": %s,\n      "dest": %d,\n      "source": %d\n    }'

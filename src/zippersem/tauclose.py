@@ -218,8 +218,11 @@ def close_automaton(aut: Automaton) -> Automaton:
 class TauSimReport(NamedTuple):
     """Outcome of the weak simulation witness check."""
     checked_pairs: int
-    ok: bool
     violation: tuple | None = None  # (node, node set or None, Edge or None, reason)
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
 
 def check_tau_simulation(m: Automaton) -> TauSimReport:
@@ -244,8 +247,8 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     by edge, so the report is the scan's.
     """
     if m.init not in m.nodes:
-        return TauSimReport(0, False, (m.init, None, None,
-                                       "initial nodes are not related"))
+        return TauSimReport(0, (m.init, None, None,
+                                "initial nodes are not related"))
     mc = close_automaton(m)
     closed_of = dict(zip(m.nodes, mc.nodes))
     targets = {}        # (action, closed node) -> id
@@ -288,5 +291,5 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
                 if any(e2.action == e.action and e.dest in e2.dest
                        for e2 in s2_out):
                     continue
-                return TauSimReport(checked, False, (s1, s2, e, "unmatched edge"))
-    return TauSimReport(checked, True)
+                return TauSimReport(checked, (s1, s2, e, "unmatched edge"))
+    return TauSimReport(checked)

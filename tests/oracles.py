@@ -16,10 +16,15 @@ re-imports as.  subterm_count is the recursive specification of the
 number of locations of a tree, and reconstruct plugs a focus back into
 its path frame by frame: the zipper law of criterion 3 is that every
 (focus, path) location of a tree reconstructs to that tree.
+rewrite_step and rewrite_run are the textbook structural semantics,
+which rewrites the statement instead of moving a cursor through it: an
+independent oracle for semantics.run_trace (criterion 10).
 """
 
-from zippersem.ast import Assign, Cond, Seq, Skip, Stmt, While
+from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Seq, Skip, Stmt,
+                           Var, While)
 from zippersem.automaton import SILENT, Automaton, Edge
+from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED
 from zippersem.tauclose import NodeSet, TauSimReport
 from zippersem.zipper import (CondElse, CondThen, Cursor, Path, SeqLeft,
                               SeqRight, Top, WhileBody, render_path)
@@ -136,8 +141,8 @@ def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
     scan: each m-edge is matched against every mc-edge of its related
     closed node."""
     if m.init not in m.nodes:
-        return TauSimReport(0, False, (m.init, None, None,
-                                       "initial nodes are not related"))
+        return TauSimReport(0, (m.init, None, None,
+                                "initial nodes are not related"))
     m_out = {}
     for e in m.edges:
         m_out.setdefault(e.source, []).append(e)
@@ -154,5 +159,48 @@ def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
                 if any(e2.action == e.action and e.dest in e2.dest
                        for e2 in mc_out.get(s2, [])):
                     continue
-                return TauSimReport(checked, False, (s1, s2, e, "unmatched edge"))
-    return TauSimReport(checked, True)
+                return TauSimReport(checked, (s1, s2, e, "unmatched edge"))
+    return TauSimReport(checked)
+
+
+def rewrite_step(c: Stmt, s: dict):
+    """One rewriting step: (next statement, next state, the Assign run or
+    None), or None when no rule applies.  x := v steps to skip, skip; c
+    steps to c, a conditional steps to the branch its test picks, and a
+    loop unfolds to body; loop or ends in skip.  skip is final, and a test
+    that is null has no rule."""
+    if isinstance(c, Assign):
+        return Skip(), {**s, c.name: c.value}, c
+    if isinstance(c, Seq):
+        if isinstance(c.first, Skip):
+            return c.second, s, None
+        res = rewrite_step(c.first, s)
+        if res is None:
+            return None
+        first, s, a = res
+        return Seq(first, c.second), s, a
+    if isinstance(c, (Cond, While)):
+        v = s.get(c.test.name, NULL) if isinstance(c.test, Var) else c.test.value
+        if v == TRUE:
+            return (c.then_branch if isinstance(c, Cond)
+                    else Seq(c.body, c)), s, None
+        if v == FALSE:
+            return (c.else_branch if isinstance(c, Cond) else Skip()), s, None
+    return None
+
+
+def rewrite_run(c: Stmt, state: dict, max_steps: int):
+    """At most max_steps rewriting steps from (c, state): (status, final
+    state, the Assign nodes run in order, every statement reached)."""
+    s, assigned, reached = dict(state), [], [c]
+    for _ in range(max_steps):
+        res = rewrite_step(c, s)
+        if res is None:
+            break
+        c, s, a = res
+        reached.append(c)
+        if a is not None:
+            assigned.append(a)
+    status = (TERMINATED if isinstance(c, Skip) else
+              STUCK if rewrite_step(c, s) is None else STEP_LIMIT)
+    return status, s, assigned, reached

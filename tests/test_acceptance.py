@@ -1,8 +1,9 @@
 """Acceptance gate: one test per stated criterion.
 
 Each test drives a heavier corpus than the unit modules and records one
-pass/fail line (shown in the terminal summary).  The runtime budget is
-asserted last, from a timer started at import.
+pass/fail line (shown in the terminal summary); a mutant of the semantics
+must fail criterion 10.  The runtime budget is asserted last, from a timer
+started at import.
 """
 
 import pathlib
@@ -14,16 +15,18 @@ import pytest
 
 import acceptance_report
 from oracles import (closure_bfs, closure_step, reconstruct_loc,
-                     subterm_count, tau_closure)
+                     rewrite_run, subterm_count, tau_closure)
 from randgen import random_automaton, random_program, random_state
 from zippersem.ast import TRUE, Assign
 from zippersem.automaton import (SILENT, action_of, check_simulation,
-                                 edges_closed, is_regular, nodes_closed,
-                                 program_automaton)
+                                 is_regular, program_automaton,
+                                 step_image_closed)
+from zippersem import semantics
 from zippersem.cli import main as cli_main
 from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED, run_trace
 from zippersem.tauclose import check_tau_simulation, close_automaton
-from zippersem.zipper import Top, advance, all_locations
+from zippersem.zipper import (CondElse, CondThen, Cursor, Top, advance,
+                              all_locations)
 
 _T0 = time.perf_counter()
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -120,8 +123,7 @@ def test_criterion_4_compiled_automata_are_closed(program_corpus):
         for c in program_corpus:
             aut = program_automaton(c)
             assert len(aut.nodes) == 2 * subterm_count(c)
-            assert nodes_closed(aut)
-            assert edges_closed(aut)
+            assert step_image_closed(aut) == (True, True)
             assert is_regular(aut)
 
 
@@ -201,6 +203,80 @@ def test_criterion_8_observable_traces_survive_closure():
             if trace.status != STUCK:
                 assert trace.status in (TERMINATED, STEP_LIMIT)
                 done += 1
+
+
+def _rewriting_agrees(programs):
+    """Run each program for up to 500 steps under run_trace and under the
+    rewriting oracle, from a state that binds every variable, and assert that
+    they agree.  Both count steps, but differently, so a run that either
+    cuts at the step limit is compared on the shorter assignment prefix;
+    other runs must agree on status, final state and assignments.  Returns
+    (distinct statements the rewriting runs reached, those that are not
+    subterms of their program, steps without an assignment under
+    rewriting, the same under run_trace)."""
+    rng = random.Random(1010)
+    reached = foreign = quiet_rewriting = quiet_zipper = 0
+    for c in programs:
+        state = random_state(rng, complete=True)
+        trace = run_trace(c, state, 500)
+        zipper = [cfg.cursor.focus for cfg, rule in trace.steps
+                  if rule == "SAssign"]
+        status, final, assigned, terms = rewrite_run(c, state, 500)
+        if STEP_LIMIT in (trace.status, status):
+            k = min(len(zipper), len(assigned))
+            assert zipper[:k] == assigned[:k]
+        else:
+            assert trace.status == status
+            assert (trace.steps[-1][0].state if trace.steps else state) == final
+            assert zipper == assigned
+        distinct = set(terms)
+        reached += len(distinct)
+        foreign += len(distinct - {focus for focus, _ in all_locations(c)})
+        quiet_rewriting += len(terms) - 1 - len(assigned)
+        quiet_zipper += len(trace.steps) - len(zipper)
+    return reached, foreign, quiet_rewriting, quiet_zipper
+
+
+def test_criterion_10_rewriting_semantics_agrees(program_corpus):
+    with criterion(10, "the rewriting semantics agrees with run_trace on "
+                       "status, final state and assignments (1000 programs, "
+                       "500-step bound)"):
+        reached, foreign, quiet_rewriting, quiet_zipper = \
+            _rewriting_agrees(program_corpus)
+        # unfolded loops and the skips left by assignments: configurations
+        # that no program point of the automaton names
+        assert foreign > 0
+    note = (f"  {foreign} of {reached} statements reached by rewriting "
+            f"({foreign / reached:.0%}) are not subterms of their program; "
+            f"steps without an assignment: {quiet_rewriting} rewriting, "
+            f"{quiet_zipper} run_trace")
+    print(note)
+    acceptance_report.lines.append(note)
+
+
+def test_rewriting_criterion_catches_swapped_branches(program_corpus,
+                                                      monkeypatch):
+    # a wrong choice between two edges the automaton both has, which no
+    # simulation check can see: the test of SCondT picks SCondF's branch
+    # and the other way round
+    original = semantics.sem_step
+
+    def swapped(cfg):
+        res = original(cfg)
+        if res is None or res[1] not in ("SCondT", "SCondF"):
+            return res
+        cur, c = cfg.cursor, cfg.cursor.focus
+        if res[1] == "SCondT":
+            nxt = Cursor(c.else_branch,
+                         CondElse(c.test, c.then_branch, cur.path), True)
+            return semantics.Config(nxt, cfg.state), "SCondF"
+        nxt = Cursor(c.then_branch,
+                     CondThen(c.test, cur.path, c.else_branch), True)
+        return semantics.Config(nxt, cfg.state), "SCondT"
+
+    monkeypatch.setattr(semantics, "sem_step", swapped)
+    with pytest.raises(AssertionError):
+        _rewriting_agrees(program_corpus)
 
 
 def test_criterion_9_runtime_budget():

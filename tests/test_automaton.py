@@ -7,9 +7,9 @@ from randgen import random_program, random_state
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var,
                            parse_program)
 from zippersem.automaton import (SILENT, Automaton, Edge, action_effect,
-                                 action_of, check_simulation, edges_closed,
-                                 edges_of, is_regular, nodes_closed,
-                                 program_automaton, render_action, step_image)
+                                 action_of, check_simulation, edges_of,
+                                 is_regular, program_automaton, render_action,
+                                 step_image, step_image_closed)
 from zippersem.semantics import run_trace
 from zippersem.zipper import TOP, Cursor, all_locations, render_path
 
@@ -105,20 +105,24 @@ def test_compiled_automata_are_closed_and_regular():
     rng = random.Random(13)
     for _ in range(100):
         aut = program_automaton(random_program(rng))
-        assert nodes_closed(aut)
-        assert edges_closed(aut)
+        assert step_image_closed(aut) == (True, True)
         assert is_regular(aut)
 
 
 def test_closure_predicates_detect_holes():
     aut = program_automaton(Seq(Skip(), Skip()))
     # dropping the last node leaves a successor outside the node list
-    chopped = Automaton(aut.nodes[:-1], aut.edges, aut.init)
-    assert not nodes_closed(chopped)
-    # dropping an edge breaks edge closure but not node closure
-    missing = Automaton(aut.nodes, aut.edges[:-1], aut.init)
-    assert nodes_closed(missing)
-    assert not edges_closed(missing)
+    chopped = aut.nodes[:-1]
+    # dropping the first edge loses a step of a node that is still listed
+    missing = aut.edges[1:]
+    # an edge that no step takes: edge closure is an inclusion, so it holds
+    extra = aut.edges + (Edge(aut.init, SILENT, aut.init),)
+    for nodes, edges, verdicts in [
+            (chopped, aut.edges, (False, True)),
+            (aut.nodes, missing, (True, False)),
+            (chopped, missing, (False, False)),
+            (aut.nodes, extra, (True, True))]:
+        assert step_image_closed(Automaton(nodes, edges, aut.init)) == verdicts
     # evicting the start node breaks regularity
     assert not is_regular(Automaton(aut.nodes[1:], aut.edges, aut.init))
 

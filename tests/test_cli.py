@@ -5,13 +5,14 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from randgen import random_program
 from zippersem import automaton, cli, tauclose
-from zippersem.ast import print_program
+from zippersem.ast import parse_program, print_program
 from zippersem.cli import main
 
 LOOP_SRC = "while (true) { x := true; y := false }\n"
@@ -435,21 +436,21 @@ def test_check_tausim_closes_the_automaton_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 2
 
 
-def test_check_closure_runs_each_predicate_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    for name in ("nodes_closed", "edges_closed"):
-        original = getattr(automaton, name)
+def test_check_closure_steps_each_node_twice(tmp_path, capsys, monkeypatch):
+    # held, so the command's hash-consed cursors are these objects
+    nodes = automaton.program_automaton(parse_program(LOOP_SRC)).nodes
+    calls = Counter()
+    original = automaton.step_image
 
-        def counted(aut, name=name, original=original):
-            calls.append(name)
-            return original(aut)
+    def counted(cur):
+        calls[cur] += 1
+        return original(cur)
 
-        # both bindings, so a call from inside automaton counts too
-        monkeypatch.setattr(automaton, name, counted)
-        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(automaton, "step_image", counted)
     f = write(tmp_path, "loop.imp", LOOP_SRC)
+    # once to compile the automaton and once to check it
     assert main(["check", "closure", f]) == 0
-    assert sorted(calls) == ["edges_closed", "nodes_closed"]
+    assert calls == Counter(dict.fromkeys(nodes, 2))
 
 
 GOLDEN = [
