@@ -14,14 +14,17 @@ Concrete grammar, right-associative ';', mandatory braces:
 
 Assignment right-hand sides are literals only.  Whitespace and '//' line
 comments are ignored.  Identifiers are [A-Za-z][A-Za-z0-9_]* minus the
-keywords.
+keywords: the names `is_valid_name` accepts, here as everywhere else.
+
+The tokenizer gives (text, offset) pairs, and a token's text gives its
+kind: a keyword or symbol is its own spelling, which no identifier has,
+and the end of input is the empty token.
 """
 
 import re
 import reprlib
 import weakref
 from functools import partial
-from typing import NamedTuple
 
 
 def _forget(key, ref):
@@ -239,36 +242,26 @@ class ParseError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "keyword", "symbol", "eof"
-    text: str
-    offset: int
-
-
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<word>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<symbol>:=|[;(){}])
-      | (?P<bad>.)
+    r"""[ \t\r\n]+ | //[^\n]*
+      | ([A-Za-z][A-Za-z0-9_]*|:=|[;(){}])  # a token
+      | (.)  # anything else
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(text, offset) of each token, then ("", len(text)) for the end."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind, chunk = m.lastgroup, m.group()
-        if kind == "word":
-            tokens.append(_Token("keyword" if chunk in KEYWORDS else "ident",
-                                 chunk, m.start()))
-        elif kind == "symbol":
-            tokens.append(_Token("symbol", chunk, m.start()))
-        elif kind == "bad":
+        token, bad = m.groups()
+        if token:
+            tokens.append((token, m.start()))
+        elif bad:
             raise ParseError.at(text, m.start(),
-                                f"unexpected character {chunk!r}")
-    tokens.append(_Token("eof", "", len(text)))
+                                f"unexpected character {bad!r}")
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -278,25 +271,19 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
     def fail(self, message: str):
-        tok = self.peek()
-        what = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError.at(self.text, tok.offset, f"{message}, found {what}")
+        token, offset = self.tokens[self.pos]
+        what = repr(token) if token else "end of input"
+        raise ParseError.at(self.text, offset, f"{message}, found {what}")
 
-    def expect(self, text: str) -> _Token:
-        """The next token, which must be the symbol or keyword `text`."""
-        tok = self.peek()
-        if tok.kind in ("symbol", "keyword") and tok.text == text:
-            return self.next()
-        self.fail(f"expected {text!r}")
+    def expect(self, token: str):
+        """Step past the next token, which must be `token`."""
+        if self.peek() != token:
+            self.fail(f"expected {token!r}")
+        self.pos += 1
 
     def parse_stmt(self) -> Stmt:
         """stmt := basic (';' stmt)?, with open blocks on an explicit stack
@@ -306,61 +293,59 @@ class _Parser:
         blocks = []
         chain = []
         while True:
-            tok = self.peek()
-            if tok.kind == "keyword" and tok.text in ("if", "while"):
-                self.next()
+            token = self.peek()
+            if token in ("if", "while"):
+                self.pos += 1
                 self.expect("(")
                 test = self.parse_expr()
                 self.expect(")")
                 self.expect("{")
-                blocks.append((chain, tok.text, test, None))
+                blocks.append((chain, token, test, None))
                 chain = []
                 continue
-            if tok.kind == "keyword" and tok.text == "skip":
-                self.next()
+            if token == "skip":
+                self.pos += 1
                 chain.append(Skip())
-            elif tok.kind == "ident":
-                name = self.next().text
+            elif is_valid_name(token):
+                self.pos += 1
                 self.expect(":=")
-                chain.append(Assign(name, self.parse_literal()))
+                chain.append(Assign(token, self.parse_literal()))
             else:
                 self.fail("expected a statement")
             # a basic statement is complete: close every chain it ends
             while True:
-                if self.peek().kind == "symbol" and self.peek().text == ";":
-                    self.next()
+                if self.peek() == ";":
+                    self.pos += 1
                     break
                 stmt = chain[-1]
                 for part in reversed(chain[:-1]):
                     stmt = Seq(part, stmt)
                 if not blocks:
                     return stmt
-                chain, kind, test, then_branch = blocks.pop()
+                chain, keyword, test, then_branch = blocks.pop()
                 self.expect("}")
-                if kind == "if":
+                if keyword == "if":
                     self.expect("else")
                     self.expect("{")
                     blocks.append((chain, "else", test, stmt))
                     chain = []
                     break
-                chain.append(While(test, stmt) if kind == "while"
+                chain.append(While(test, stmt) if keyword == "while"
                              else Cond(test, then_branch, stmt))
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("true", "false", "null"):
-            self.next()
-            return Lit(parse_value_literal(tok.text))
-        if tok.kind == "ident":
-            return Var(self.next().text)
-        self.fail("expected an expression")
+        token = self.peek()
+        if is_valid_name(token):
+            self.pos += 1
+            return Var(token)
+        return Lit(self.parse_literal("an expression"))
 
-    def parse_literal(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("true", "false", "null"):
-            self.next()
-            return parse_value_literal(tok.text)
-        self.fail("expected a literal (true, false or null)")
+    def parse_literal(self, what="a literal (true, false or null)") -> Value:
+        token = self.peek()
+        if token not in ("true", "false", "null"):
+            self.fail(f"expected {what}")
+        self.pos += 1
+        return parse_value_literal(token)
 
 
 def parse_program(text: str) -> Stmt:
@@ -370,7 +355,6 @@ def parse_program(text: str) -> Stmt:
     """
     parser = _Parser(text)
     stmt = parser.parse_stmt()
-    tok = parser.peek()
-    if tok.kind != "eof":
+    if parser.peek():
         parser.fail("expected end of input")
     return stmt

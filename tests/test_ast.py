@@ -87,7 +87,18 @@ def test_parse_error_reports_position():
     ("while (a) {\n  skip // done\n  ", "expected '}', found end of input",
      3, 3),
     ("x := true;\n  é", "unexpected character 'é'", 2, 3),
-], ids=["crlf", "after-comment", "tab", "end-of-input", "non-ascii"])
+    # one row per kind of offending token
+    ("skip skip", "expected end of input, found 'skip'", 1, 6),
+    ("while x", "expected '(', found 'x'", 1, 7),
+    ("while (if) { skip }", "expected an expression, found 'if'", 1, 8),
+    ("true := false", "expected a statement, found 'true'", 1, 1),
+    ("x := ;", "expected a literal (true, false or null), found ';'", 1, 6),
+    ("if (a) { skip }", "expected 'else', found end of input", 1, 16),
+    ("x := true; }", "expected a statement, found '}'", 1, 12),
+], ids=["crlf", "after-comment", "tab", "end-of-input", "non-ascii",
+        "trailing-input", "identifier", "keyword-as-expression",
+        "literal-as-statement", "symbol-as-literal", "missing-else",
+        "stray-brace"])
 def test_parse_error_positions(text, message, line, column):
     # lines end at '\n' only; a column counts characters, so a tab is one
     with pytest.raises(ParseError) as exc:
@@ -117,6 +128,12 @@ def test_keywords_are_not_identifiers():
         parse_program("true := false")
     with pytest.raises(ParseError):
         parse_program("while (if) { skip }")
+    # keywords are lower case, and a name may contain '_'
+    assert parse_program("If := true; SKIP := null; True := false") == \
+        Seq(Assign("If", TRUE),
+            Seq(Assign("SKIP", NULL), Assign("True", FALSE)))
+    assert parse_program("while (While) { x_1 := true }") == \
+        While(Var("While"), Assign("x_1", TRUE))
 
 
 def test_mandatory_braces():
@@ -209,6 +226,25 @@ def test_dropped_programs_leave_no_live_nodes():
     del closed
     gc.collect()
     assert len(HashConsed._live) == before
+
+
+def test_failed_parse_frees_its_nodes():
+    # the error carries no node: once it is dropped, reference counting
+    # alone frees every node the parse built before it failed
+    src = "; ".join(f"v{i} := true" for i in range(999)) + \
+        "; while (v0) { v0 := false"
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(HashConsed._live)
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        assert exc.value.message == "expected '}', found end of input"
+        del exc
+        assert len(HashConsed._live) == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_interning_table_drops_entries_as_nodes_die():

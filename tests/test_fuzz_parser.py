@@ -23,7 +23,7 @@ from zippersem.ast import ParseError, parse_program, print_program
 from zippersem.cli import main
 
 PIECES = ["skip", "if", "else", "while", "true", "false", "null", "x", "y1",
-          ":=", ";", "(", ")", "{", "}", "// note\n",
+          "If", "True", "x_1", ":=", ";", "(", ")", "{", "}", "// note\n",
           "%", "#", "=", ":", "1", "é", "\t", "\n", "/"]
 SEPARATORS = [" ", "", "\n"]
 TOKEN_RE = re.compile(r":=|[;(){}]|[A-Za-z][A-Za-z0-9_]*")
