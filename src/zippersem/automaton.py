@@ -28,19 +28,14 @@ def render_action(a) -> str:
     raise TypeError(f"not an action: {a!r}")
 
 
-class Edge(NamedTuple):
-    """A labelled transition; a tuple, for cheap construction."""
-    source: Any
-    action: Assign | None
-    dest: Any
-
-
 class Automaton(NamedTuple):
     """Node and edge tuples plus an initial node.
 
     Node type is arbitrary (cursors for compiled programs, ints for loaded
-    ones, node sets after closure).  Tuples may hold duplicates; set
-    semantics apply wherever membership is meant.
+    ones, node sets after closure).  An edge is a plain (source, action,
+    dest) tuple, the cheapest object to build in bulk; its action is an
+    Assign node or SILENT.  Tuples may hold duplicates; set semantics
+    apply wherever membership is meant.
     """
     nodes: tuple
     edges: tuple
@@ -97,10 +92,10 @@ def action_of(cur: Cursor) -> Assign | None:
     return SILENT
 
 
-def edges_of(cur: Cursor) -> list[Edge]:
-    """Outgoing edges of one program point."""
+def edges_of(cur: Cursor) -> list[tuple]:
+    """Outgoing (source, action, dest) edges of one program point."""
     a = action_of(cur)
-    return [Edge(cur, a, dest) for dest in step_image(cur)]
+    return [(cur, a, dest) for dest in step_image(cur)]
 
 
 def program_automaton(c: Stmt) -> Automaton:
@@ -120,7 +115,7 @@ def is_regular(aut: Automaton) -> bool:
     """Initial node and every edge endpoint belong to the node list."""
     nodes = set(aut.nodes)
     return aut.init in nodes and all(
-        e.source in nodes and e.dest in nodes for e in aut.edges)
+        s in nodes and d in nodes for s, _, d in aut.edges)
 
 
 def step_image_closed(aut: Automaton) -> tuple[bool, bool]:
@@ -130,7 +125,7 @@ def step_image_closed(aut: Automaton) -> tuple[bool, bool]:
     nodes_ok = edges_ok = True
     for n in aut.nodes:
         for e in edges_of(n):
-            nodes_ok = nodes_ok and e.dest in nodes
+            nodes_ok = nodes_ok and e[2] in nodes
             edges_ok = edges_ok and e in edges
     return nodes_ok, edges_ok
 
@@ -156,12 +151,12 @@ def check_simulation(c: Stmt, state: dict, max_steps: int = 10000) -> Simulation
     aut = program_automaton(c)
     by_source = {}
     for e in aut.edges:
-        by_source.setdefault(e.source, []).append(e)
+        by_source.setdefault(e[0], []).append(e)
     trace = run_trace(c, state, max_steps)
     cfg = trace.start
     for i, (nxt, _rule) in enumerate(trace.steps):
-        for e in by_source.get(cfg.cursor, []):
-            if e.dest == nxt.cursor and action_effect(e.action, cfg.state) == nxt.state:
+        for _, a, d in by_source.get(cfg.cursor, []):
+            if d == nxt.cursor and action_effect(a, cfg.state) == nxt.state:
                 break
         else:
             return SimulationReport(trace.status, i, (i, cfg, nxt))

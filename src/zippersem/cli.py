@@ -7,7 +7,6 @@ error.  Exit codes: 0 success, 2 parse or input errors, 3 stuck execution,
 """
 
 import argparse
-import json
 import sys
 
 from . import formats
@@ -33,6 +32,8 @@ def _read_program(path):
 
 
 def _load_automaton_file(path):
+    # imported here: only commands that read an automaton need json
+    import json
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return formats.load_automaton(json.load(fh))
@@ -155,7 +156,7 @@ def cmd_check(args):
         s1, s2, edge, reason = report.violation
         print(f"violation: {reason}"
               + (f" (node {formats.render_node(s1)} in {formats.render_node(s2)},"
-                 f" edge to {formats.render_node(edge.dest)})" if edge else ""))
+                 f" edge to {formats.render_node(edge[2])})" if edge else ""))
         return EXIT_VIOLATION
     return EXIT_OK
 

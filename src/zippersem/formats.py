@@ -7,24 +7,33 @@ shape; the shapes differ only in their node rows.  JSON node ids and DOT
 node names are positions in the node list, so exports are deterministic
 and re-import as the position-renamed automaton.
 
-JSON text is written straight from the automaton or trace with fixed row
-templates, in the bytes of json.dumps with indent=2, sorted keys and
-non-ASCII kept, plus a newline.  Template keys are in sorted order,
-strings go through the C string encoder, and ints and bools are written
-directly.  The two dict-valued functions are those texts parsed back,
-for the benchmark's own tests.
+An automaton's edges are plain (source, action, dest) tuples.  JSON text
+is written straight from the automaton or trace with fixed row templates,
+in the bytes of json.dumps with indent=2, sorted keys and non-ASCII kept,
+plus a newline.  Template keys are in sorted order, strings go through
+json's C string encoder, and ints and bools are written directly.  The
+json package is imported by the first string a writer encodes, so a
+command without JSON input or output never loads it.  The two
+dict-valued functions are those texts parsed back, for the benchmark's
+own tests.
 """
 
-import json
 from functools import cache
-from json.encoder import encode_basestring
 
 from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
                   print_program, value_literal)
-from .automaton import SILENT, Automaton, Edge, render_action
+from .automaton import SILENT, Automaton, render_action
 from .semantics import Trace
 from .tauclose import NodeSet
 from .zipper import Cursor, render_cursor, render_path
+
+
+def encode_basestring(s: str) -> str:
+    """s as a JSON string.  The first call imports json's C encoder under
+    this global's name, so every later call goes straight to it."""
+    global encode_basestring
+    from json.encoder import encode_basestring
+    return encode_basestring(s)
 
 
 def _rows(items: list, indent: str) -> list:
@@ -99,7 +108,7 @@ def automaton_json_text(aut: Automaton, node_row) -> str:
     six spaces, closing brace at four."""
     ids = _node_ids(aut)
     # edges share a few actions, each rendered once
-    actions = {a: _action_text(a) for a in {e.action for e in aut.edges}}
+    actions = {a: _action_text(a) for a in {a for _, a, _ in aut.edges}}
     edges = [_EDGE_ROW % (actions[a], ids[dest], ids[source])
              for source, a, dest in aut.edges]
     nodes = [node_row(n, i) for n, i in ids.items()]
@@ -147,10 +156,12 @@ def generic_automaton_json_text(aut: Automaton) -> str:
 
 
 def program_automaton_json(aut: Automaton) -> dict:
+    import json
     return json.loads(program_automaton_json_text(aut))
 
 
 def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
+    import json
     return json.loads(closed_automaton_json_text(base, closed))
 
 
@@ -195,9 +206,9 @@ def load_automaton(data: dict) -> Automaton:
     edges = []
     for item in raw_edges:
         try:
-            edges.append(Edge(_node_id(item["source"], "edge source", seen),
-                              _action(item["action"], built),
-                              _node_id(item["dest"], "edge destination", seen)))
+            edges.append((_node_id(item["source"], "edge source", seen),
+                          _action(item["action"], built),
+                          _node_id(item["dest"], "edge destination", seen)))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad edge: {brief_repr(item)}") from exc
     return Automaton(tuple(nodes), tuple(edges), _node_id(data["init"], "init", seen))
@@ -217,9 +228,9 @@ def automaton_dot(aut: Automaton, label=None) -> str:
         text = label(n, i) if label is not None else render_node(n)
         lines.append(f"  n{i} [label={_quote(text)}];")
     lines.append(f"  __init -> n{ids[aut.init]};")
-    for e in aut.edges:
-        lines.append(f"  n{ids[e.source]} -> n{ids[e.dest]}"
-                     f" [label={_quote(render_action(e.action))}];")
+    for s, a, d in aut.edges:
+        lines.append(f"  n{ids[s]} -> n{ids[d]}"
+                     f" [label={_quote(render_action(a))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

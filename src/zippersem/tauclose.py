@@ -32,7 +32,7 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from .ast import HashConsed, value_literal
-from .automaton import SILENT, Automaton, Edge
+from .automaton import SILENT, Automaton
 from .zipper import Cursor, path_ranks
 
 
@@ -181,15 +181,15 @@ def close_automaton(aut: Automaton) -> Automaton:
                          "initial node outside the node list")
     succ = [[] for _ in ranked]
     witnessed = []
-    for e in aut.edges:
-        si = rank.get(e.source)
-        di = rank.get(e.dest)
+    for s, a, d in aut.edges:
+        si = rank.get(s)
+        di = rank.get(d)
         if si is None or di is None:
             continue
-        if e.action is SILENT:
+        if a is SILENT:
             succ[si].append(di)
         else:
-            witnessed.append((si, e.action, di))
+            witnessed.append((si, a, di))
     comp, closures, parts = _closures(succ)
     order = sorted(range(len(closures)), key=closures.__getitem__)
     cid = [0] * len(closures)
@@ -211,14 +211,15 @@ def close_automaton(aut: Automaton) -> Automaton:
     edges = []
     for c in order:
         src = sets[cid[c]]
-        edges += [Edge(src, actions[t // k], sets[t % k]) for t in sorted(out[c])]
+        edges += [(src, actions[t // k], sets[t % k]) for t in sorted(out[c])]
     return Automaton(nodes, tuple(edges), sets[cid[comp[rank[aut.init]]]])
 
 
 class TauSimReport(NamedTuple):
     """Outcome of the weak simulation witness check."""
     checked_pairs: int
-    violation: tuple | None = None  # (node, node set or None, Edge or None, reason)
+    # (node, node set or None, (source, action, dest) or None, reason)
+    violation: tuple | None = None
 
     @property
     def ok(self) -> bool:
@@ -254,20 +255,20 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     targets = {}        # (action, closed node) -> id
     stays = {}          # node -> destinations of its silent edges
     needs = {}          # node -> target ids of its non-silent edges
-    for e in m.edges:
-        if e.action is SILENT:
-            stays.setdefault(e.source, []).append(e.dest)
+    for s, a, d in m.edges:
+        if a is SILENT:
+            stays.setdefault(s, []).append(d)
         else:
-            d = closed_of.get(e.dest)
+            closed = closed_of.get(d)
             # None, which no closed edge has, when no lookup can match
-            t = (targets.setdefault((e.action, d), len(targets))
-                 if d is not None and e.dest in d else None)
-            needs.setdefault(e.source, []).append(t)
+            t = (targets.setdefault((a, closed), len(targets))
+                 if closed is not None and d in closed else None)
+            needs.setdefault(s, []).append(t)
     has = {}            # closed node -> target ids of its edges
-    for e2 in mc.edges:
-        t = targets.get((e2.action, e2.dest))
+    for src, a2, d2 in mc.edges:
+        t = targets.get((a2, d2))
         if t is not None:
-            has.setdefault(e2.source, set()).add(t)
+            has.setdefault(src, set()).add(t)
     checked = 0
     for s2 in dict.fromkeys(mc.nodes):
         members = s2.members
@@ -278,18 +279,18 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
                     map(needs.get, members, repeat(()))))):
             checked += len(members)
             continue
-        s2_out = [e2 for e2 in mc.edges if e2.source == s2]
+        s2_out = [(a2, d2) for src, a2, d2 in mc.edges if src == s2]
         m_out = {}
-        for e in m.edges:
-            if e.source in s2:
-                m_out.setdefault(e.source, []).append(e)
+        for s, a, d in m.edges:
+            if s in s2:
+                m_out.setdefault(s, []).append((a, d))
         for s1 in s2:
             checked += 1
-            for e in m_out.get(s1, []):
-                if e.action is SILENT and e.dest in s2:
+            for a, d in m_out.get(s1, []):
+                if a is SILENT and d in s2:
                     continue
-                if any(e2.action == e.action and e.dest in e2.dest
-                       for e2 in s2_out):
+                if any(a2 == a and d in d2 for a2, d2 in s2_out):
                     continue
-                return TauSimReport(checked, (s1, s2, e, "unmatched edge"))
+                return TauSimReport(checked, (s1, s2, (s1, a, d),
+                                              "unmatched edge"))
     return TauSimReport(checked)

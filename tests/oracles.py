@@ -23,7 +23,7 @@ independent oracle for semantics.run_trace (criterion 10).
 
 from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Seq, Skip, Stmt,
                            Var, While)
-from zippersem.automaton import SILENT, Automaton, Edge
+from zippersem.automaton import SILENT, Automaton
 from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED
 from zippersem.tauclose import NodeSet, TauSimReport
 from zippersem.zipper import (CondElse, CondThen, Cursor, Path, SeqLeft,
@@ -92,8 +92,8 @@ def closure_step(aut: Automaton, seed, x) -> frozenset:
     a node of the automaton; silently reached nodes must be.
     """
     nodes = set(aut.nodes)
-    reached = {e.dest for e in aut.edges
-               if e.action == SILENT and e.source in x and e.dest in nodes}
+    reached = {d for s, a, d in aut.edges
+               if a == SILENT and s in x and d in nodes}
     return frozenset({seed} | set(x) | reached)
 
 
@@ -117,11 +117,11 @@ def closure_bfs(aut: Automaton, seed) -> NodeSet:
     while frontier:
         nxt = []
         for cur in frontier:
-            for e in aut.edges:
-                if (e.source == cur and e.action == SILENT
-                        and e.dest in nodes and e.dest not in seen):
-                    seen.add(e.dest)
-                    nxt.append(e.dest)
+            for s, a, d in aut.edges:
+                if (s == cur and a == SILENT
+                        and d in nodes and d not in seen):
+                    seen.add(d)
+                    nxt.append(d)
         frontier = nxt
     return node_set(seen)
 
@@ -132,7 +132,7 @@ def position_renaming(aut: Automaton) -> Automaton:
     ids = {}
     for n in aut.nodes:
         ids.setdefault(n, len(ids))
-    edges = tuple(Edge(ids[e.source], e.action, ids[e.dest]) for e in aut.edges)
+    edges = tuple((ids[s], a, ids[d]) for s, a, d in aut.edges)
     return Automaton(tuple(ids.values()), edges, ids[aut.init])
 
 
@@ -145,19 +145,20 @@ def tau_simulation_scan(m: Automaton, mc: Automaton) -> TauSimReport:
                                 "initial nodes are not related"))
     m_out = {}
     for e in m.edges:
-        m_out.setdefault(e.source, []).append(e)
+        m_out.setdefault(e[0], []).append(e)
     mc_out = {}
-    for e in mc.edges:
-        mc_out.setdefault(e.source, []).append(e)
+    for s, a, d in mc.edges:
+        mc_out.setdefault(s, []).append((a, d))
     checked = 0
     for s2 in dict.fromkeys(mc.nodes):
         for s1 in s2:
             checked += 1
             for e in m_out.get(s1, []):
-                if e.action is SILENT and e.dest in s2:
+                _, a, d = e
+                if a is SILENT and d in s2:
                     continue
-                if any(e2.action == e.action and e.dest in e2.dest
-                       for e2 in mc_out.get(s2, [])):
+                if any(a2 == a and d in d2
+                       for a2, d2 in mc_out.get(s2, [])):
                     continue
                 return TauSimReport(checked, (s1, s2, e, "unmatched edge"))
     return TauSimReport(checked)

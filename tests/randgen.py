@@ -7,7 +7,7 @@ the seed alone.
 from oracles import subterm_count
 from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
                            Var, While)
-from zippersem.automaton import SILENT, Automaton, Edge
+from zippersem.automaton import SILENT, Automaton
 
 NAMES = ["a", "b", "c", "x", "y", "z"]
 
@@ -96,7 +96,7 @@ def random_automaton(rng, max_nodes=12, max_edges=30):
             action = SILENT
         else:
             action = Assign(rng.choice(NAMES), random_value(rng))
-        edges.append(Edge(rng.choice(nodes), action, rng.choice(nodes)))
+        edges.append((rng.choice(nodes), action, rng.choice(nodes)))
     return Automaton(nodes, tuple(edges), rng.choice(nodes))
 
 
@@ -131,17 +131,17 @@ def random_silent_automaton(rng, max_nodes=24):
     kind = rng.choice(["int", "str", "mixed"])
     name = [i if kind == "int" or (kind == "mixed" and i % 2) else f"n{i}"
             for i in range(n)]
-    edges = [Edge(name[s], SILENT, name[d]) for s, d in silent]
+    edges = [(name[s], SILENT, name[d]) for s, d in silent]
     for _ in range(rng.randint(0, 2 * n)):
-        edges.append(Edge(name[rng.randrange(n)],
-                          Assign(rng.choice(NAMES[:3]), random_value(rng)),
-                          name[rng.randrange(n)]))
+        edges.append((name[rng.randrange(n)],
+                      Assign(rng.choice(NAMES[:3]), random_value(rng)),
+                      name[rng.randrange(n)]))
     for _ in range(rng.randint(0, 2)):
         action = rng.choice([SILENT, Assign("a", TRUE)])
         if rng.random() < 0.5:
-            edges.append(Edge(name[rng.randrange(n)], action, "out"))
+            edges.append((name[rng.randrange(n)], action, "out"))
         else:
-            edges.append(Edge(99, action, name[rng.randrange(n)]))
+            edges.append((99, action, name[rng.randrange(n)]))
     rng.shuffle(edges)
     nodes = name + [rng.choice(name) for _ in range(rng.randint(0, 3))]
     rng.shuffle(nodes)

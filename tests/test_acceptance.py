@@ -89,8 +89,7 @@ def test_criterion_2_golden_closure(silent_fork):
         assert [ns.members for ns in closed.nodes] == [
             (1, 2, 3), (2,), (3,), (4,), (5,)]
         assert closed.init.members == (1, 2, 3)
-        assert [(e.source.members, e.action, e.dest.members)
-                for e in closed.edges] == [
+        assert [(s.members, a, d.members) for s, a, d in closed.edges] == [
             ((1, 2, 3), alpha, (4,)),
             ((1, 2, 3), beta, (5,)),
             ((2,), alpha, (4,)),
@@ -186,16 +185,16 @@ def test_criterion_8_observable_traces_survive_closure():
             closed = close_automaton(aut)
             closure_of = dict(zip(aut.nodes, closed.nodes))
             out_edges = {}
-            for e in closed.edges:
-                out_edges.setdefault(e.source, []).append(e)
+            for s, a, d in closed.edges:
+                out_edges.setdefault(s, []).append((a, d))
             current = closed.init
             prev = trace.start
             for cfg, _rule in trace.steps:
                 a = action_of(prev.cursor)
                 if a != SILENT:
                     target = closure_of[cfg.cursor]
-                    assert any(e.action == a and e.dest == target
-                               for e in out_edges.get(current, []))
+                    assert any(ea == a and d == target
+                               for ea, d in out_edges.get(current, []))
                     current = target
                 prev = cfg
             # a null assigned earlier can still stall a condition; such

@@ -6,7 +6,7 @@ from oracles import subterm_count
 from randgen import random_program, random_state
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var,
                            parse_program)
-from zippersem.automaton import (SILENT, Automaton, Edge, action_effect,
+from zippersem.automaton import (SILENT, Automaton, action_effect,
                                  action_of, check_simulation, edges_of,
                                  is_regular, program_automaton, render_action,
                                  step_image, step_image_closed)
@@ -70,7 +70,7 @@ def test_action_of():
 
 def test_edges_of_matches_step_image():
     cur = _cursor(LOOP)
-    assert [(e.source, e.action, e.dest) for e in edges_of(cur)] == \
+    assert edges_of(cur) == \
         [(cur, SILENT, dest) for dest in step_image(cur)]
 
 
@@ -78,9 +78,9 @@ def test_skip_automaton():
     aut = program_automaton(Skip())
     assert aut.init == _cursor(Skip())
     assert len(aut.nodes) == 2
-    (edge,) = aut.edges
-    assert edge.source == aut.init and edge.action == SILENT
-    assert edge.dest == _cursor(Skip(), entering=False)
+    ((source, action, dest),) = aut.edges
+    assert source == aut.init and action == SILENT
+    assert dest == _cursor(Skip(), entering=False)
 
 
 def test_loop_automaton_counts():
@@ -89,8 +89,8 @@ def test_loop_automaton_counts():
     # entering edges: while 2, seq 1, each assign 1; leaving edges: one per
     # non-root position, none for the root
     assert len(aut.edges) == 8
-    assert sum(1 for e in aut.edges if e.action != SILENT) == 2
-    assert {render_action(e.action) for e in aut.edges if e.action != SILENT} \
+    assert sum(1 for _, a, _ in aut.edges if a != SILENT) == 2
+    assert {render_action(a) for _, a, _ in aut.edges if a != SILENT} \
         == {"x:=true", "y:=false"}
 
 
@@ -116,7 +116,7 @@ def test_closure_predicates_detect_holes():
     # dropping the first edge loses a step of a node that is still listed
     missing = aut.edges[1:]
     # an edge that no step takes: edge closure is an inclusion, so it holds
-    extra = aut.edges + (Edge(aut.init, SILENT, aut.init),)
+    extra = aut.edges + ((aut.init, SILENT, aut.init),)
     for nodes, edges, verdicts in [
             (chopped, aut.edges, (False, True)),
             (aut.nodes, missing, (True, False)),
@@ -128,9 +128,9 @@ def test_closure_predicates_detect_holes():
 
 
 def test_is_regular_checks_endpoints():
-    assert not is_regular(Automaton((1,), (Edge(1, SILENT, 2),), 1))
-    assert not is_regular(Automaton((1,), (Edge(2, SILENT, 1),), 1))
-    assert is_regular(Automaton((1, 2), (Edge(1, SILENT, 2),), 1))
+    assert not is_regular(Automaton((1,), ((1, SILENT, 2),), 1))
+    assert not is_regular(Automaton((1,), ((2, SILENT, 1),), 1))
+    assert is_regular(Automaton((1, 2), ((1, SILENT, 2),), 1))
 
 
 def test_check_simulation_counts_matched_steps():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import node_set, position_renaming
 from randgen import random_automaton, random_program, random_state
+from zippersem import formats
 from zippersem.ast import FALSE, TRUE, Assign, parse_program
-from zippersem.automaton import (SILENT, Automaton, Edge, is_regular,
+from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
 from zippersem.formats import (action_from_json, automaton_dot,
                                closed_automaton_dot, closed_automaton_json,
@@ -55,8 +56,8 @@ def test_json_writers_on_empty_and_shared_parts():
     x_true = Assign("x", TRUE)
     no_edges = Automaton((1,), (), 1)
     shared = Automaton(tuple(range(6)), tuple(
-        Edge(i, x_true if i % 3 else SILENT, (i + 1) % 6) for i in range(6))
-        + (Edge(0, Assign("x", FALSE), 0),), 0)
+        (i, x_true if i % 3 else SILENT, (i + 1) % 6) for i in range(6))
+        + ((0, Assign("x", FALSE), 0),), 0)
     labels = load_automaton({"nodes": ['sa"y', "é✓\u2028", 2.5, None],
                              "edges": [], "init": 'sa"y'})
     texts = [generic_automaton_json_text(no_edges),
@@ -80,10 +81,16 @@ def test_json_writers_on_empty_and_shared_parts():
         ['sa"y', "é✓\u2028", "2.5", "None"]
 
 
+def test_writers_encode_strings_with_jsons_own_encoder():
+    # after the first string, the writers call json's encoder directly
+    generic_automaton_json_text(Automaton((0,), (), 0))
+    assert formats.encode_basestring is json.encoder.encode_basestring
+
+
 def test_action_json_roundtrip():
     for a, obj in ((SILENT, {"kind": "none"}),
                    (Assign("x", TRUE), {"kind": "assign", "val": "true", "var": "x"})):
-        text = generic_automaton_json_text(Automaton((0,), (Edge(0, a, 0),), 0))
+        text = generic_automaton_json_text(Automaton((0,), ((0, a, 0),), 0))
         assert json.loads(text)["edges"][0]["action"] == obj
         assert action_from_json(obj) is a
     with pytest.raises(ValueError):
@@ -149,8 +156,11 @@ def test_program_json_reimports_as_the_position_renaming():
         assert loaded == position_renaming(aut)
         # a loaded action is the program's own Assign node
         numbered = load_automaton(json.loads(generic_automaton_json_text(aut)))
-        assert [e.action for e in numbered.edges] == [e.action for e in aut.edges]
-        assert all(f.action is e.action for e, f in zip(aut.edges, numbered.edges))
+        assert [a for _, a, _ in numbered.edges] == [a for _, a, _ in aut.edges]
+        assert all(b is a for (_, a, _), (_, b, _) in zip(aut.edges, numbered.edges))
+        # every layer builds its edges as plain tuples
+        edges = aut.edges + loaded.edges + close_automaton(aut).edges
+        assert all(type(e) is tuple for e in edges)
 
 
 def test_rename_nodes_preserves_structure():
@@ -178,9 +188,8 @@ def test_renaming_commutes_with_closure_memberwise():
 
         assert list(closed_after.nodes) == [mapped(ns) for ns in closed_before.nodes]
         assert closed_after.init == mapped(closed_before.init)
-        assert {(e.source, e.action, e.dest) for e in closed_after.edges} == \
-            {(mapped(e.source), e.action, mapped(e.dest))
-             for e in closed_before.edges}
+        assert set(closed_after.edges) == \
+            {(mapped(s), a, mapped(d)) for s, a, d in closed_before.edges}
 
 
 def test_numbered_automaton_json():

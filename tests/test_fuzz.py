@@ -39,8 +39,8 @@ def _action_json(a):
 def _base_json(seed, object_nodes):
     m = random_automaton(random.Random(seed), max_nodes=6, max_edges=10)
     return {"nodes": [{"id": n} if object_nodes else n for n in m.nodes],
-            "edges": [{"source": e.source, "action": _action_json(e.action),
-                       "dest": e.dest} for e in m.edges],
+            "edges": [{"source": s, "action": _action_json(a), "dest": d}
+                      for s, a, d in m.edges],
             "init": m.init}
 
 

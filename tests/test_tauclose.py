@@ -9,7 +9,7 @@ from oracles import (closure_bfs, closure_step, node_key, node_set,
 from randgen import random_automaton, random_program, random_silent_automaton
 from zippersem import tauclose
 from zippersem.ast import TRUE, Assign, parse_program
-from zippersem.automaton import (SILENT, Automaton, Edge, is_regular,
+from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
 from zippersem.tauclose import (NodeSet, action_key, check_tau_simulation,
                                 close_automaton, node_order)
@@ -61,7 +61,7 @@ def test_tau_closure_fixpoints(silent_fork):
 
 
 def test_closure_ignores_silent_edges_to_foreign_nodes():
-    m = Automaton((1,), (Edge(1, SILENT, 2),), 1)
+    m = Automaton((1,), ((1, SILENT, 2),), 1)
     assert tau_closure(m, 1).members == (1,)
     assert closure_bfs(m, 1).members == (1,)
 
@@ -81,7 +81,7 @@ def test_closed_init_outside_node_list():
     rng = random.Random(20)
     for _ in range(200):
         base = random_automaton(rng)
-        extra = tuple(Edge(src, SILENT, dst) for src, dst in
+        extra = tuple((src, SILENT, dst) for src, dst in
                       ((0, rng.choice(base.nodes)), (0, rng.choice(base.nodes)),
                        (rng.choice(base.nodes), 0), (0, 0), (0, 99)))
         m = Automaton(base.nodes, base.edges + extra[:rng.randint(0, 5)], 0)
@@ -91,15 +91,15 @@ def test_closed_init_outside_node_list():
 
 
 def test_closed_nodes_order_preserved_with_equal_closures():
-    m = Automaton((1, 2), (Edge(1, SILENT, 2), Edge(2, SILENT, 1)), 1)
+    m = Automaton((1, 2), ((1, SILENT, 2), (2, SILENT, 1)), 1)
     ns = close_automaton(m).nodes
     assert [s.members for s in ns] == [(1, 2), (1, 2)]
     assert ns[0] == ns[1]
 
 
 def test_closed_edges_golden(silent_fork):
-    got = [(e.source.members, e.action, e.dest.members)
-           for e in close_automaton(silent_fork).edges]
+    got = [(s.members, a, d.members)
+           for s, a, d in close_automaton(silent_fork).edges]
     assert got == [
         ((1, 2, 3), ALPHA, (4,)),
         ((1, 2, 3), BETA, (5,)),
@@ -112,7 +112,7 @@ def test_closed_edges_golden(silent_fork):
 
 def test_closed_automaton_is_silent_free(silent_fork):
     closed = close_automaton(silent_fork)
-    assert all(e.action != SILENT for e in closed.edges)
+    assert all(a != SILENT for _, a, _ in closed.edges)
     assert closed.init == node_set({1, 2, 3})
     assert is_regular(closed)
 
@@ -120,10 +120,9 @@ def test_closed_automaton_is_silent_free(silent_fork):
 def test_closed_edges_skip_foreign_endpoints():
     # only the edge with both endpoints in the node list can be witnessed
     m = Automaton((1, 2),
-                  (Edge(1, ALPHA, 3), Edge(3, ALPHA, 2), Edge(1, ALPHA, 2)),
+                  ((1, ALPHA, 3), (3, ALPHA, 2), (1, ALPHA, 2)),
                   1)
-    got = [(e.source.members, e.action, e.dest.members)
-           for e in close_automaton(m).edges]
+    got = [(s.members, a, d.members) for s, a, d in close_automaton(m).edges]
     assert got == [((1,), ALPHA, (2,))]
 
 
@@ -189,19 +188,18 @@ def test_closed_edges_match_the_candidate_product_filter():
                  for _ in range(60)]
     for m in automata:
         closures = {n: tau_closure(m, n) for n in set(m.nodes)}
-        dest_closure = {e.dest: tau_closure(m, e.dest) for e in m.edges}
-        actions = {e.action for e in m.edges if e.action != SILENT}
+        dest_closure = {d: tau_closure(m, d) for _, _, d in m.edges}
+        actions = {a for _, a, _ in m.edges if a != SILENT}
         kept = set()
         for n1 in set(m.nodes):
             src = closures[n1]
             for a in actions:
                 for n2 in set(m.nodes):
                     dst = closures[n2]
-                    if any(e.action == a and e.source in src
-                           and dest_closure[e.dest] == dst for e in m.edges):
+                    if any(ea == a and s in src and dest_closure[d] == dst
+                           for s, ea, d in m.edges):
                         kept.add((src, a, dst))
-        got = {(e.source, e.action, e.dest)
-               for e in close_automaton(_closable(m)).edges}
+        got = set(close_automaton(_closable(m)).edges)
         assert got == kept
 
 
@@ -227,11 +225,11 @@ def test_tau_simulation_on_the_fixture(silent_fork):
 def test_tau_simulation_fails_on_a_dangling_silent_edge():
     # the closure cannot absorb a silent edge that leaves the node list,
     # so membership is not a simulation witness there
-    m = Automaton((1,), (Edge(1, SILENT, 2),), 1)
+    m = Automaton((1,), ((1, SILENT, 2),), 1)
     report = check_tau_simulation(m)
     assert not report.ok
     s1, s2, edge, reason = report.violation
-    assert s1 == 1 and 1 in s2 and edge.dest == 2
+    assert s1 == 1 and 1 in s2 and edge[2] == 2
     assert reason == "unmatched edge"
 
 
@@ -254,8 +252,7 @@ def _with_string_ids(m):
     # "n10" sorts before "n2", so string ids rank apart from their ints
     name = {n: f"n{n}" for n in m.nodes}
     return Automaton(tuple(name[n] for n in m.nodes),
-                     tuple(Edge(name[e.source], e.action, name[e.dest])
-                           for e in m.edges),
+                     tuple((name[s], a, name[d]) for s, a, d in m.edges),
                      name[m.init])
 
 
@@ -279,8 +276,8 @@ def test_ranked_pass_keeps_the_canonical_orders():
         for ns in closed.nodes:
             assert ns.members == node_set(ns.members).members
         assert list(closed.edges) == sorted(
-            closed.edges, key=lambda e: (members_key(e.source), action_key(e.action),
-                                         members_key(e.dest)))
+            closed.edges, key=lambda e: (members_key(e[0]), action_key(e[1]),
+                                         members_key(e[2])))
         assert closed.init == tau_closure(m, m.init)
 
 
@@ -322,10 +319,10 @@ def _tampered(m, rng):
         big = rng.choice(nodes)
         small = NodeSet(big.members[1:])
         nodes = [small if n is big else n for n in nodes]
-        edges = [Edge(small if e.source is big else e.source, e.action,
-                      small if e.dest is big else e.dest) for e in edges]
+        edges = [(small if s is big else s, a, small if d is big else d)
+                 for s, a, d in edges]
     else:
-        edges.append(Edge(rng.choice(nodes), ALPHA, rng.choice(nodes)))
+        edges.append((rng.choice(nodes), ALPHA, rng.choice(nodes)))
     return Automaton(tuple(nodes), tuple(edges), mc.init)
 
 
