@@ -7,6 +7,7 @@ error.  Exit codes: 0 success, 2 parse or input errors, 3 stuck execution,
 """
 
 import argparse
+import json
 import sys
 
 from . import formats
@@ -32,8 +33,6 @@ def _read_program(path):
 
 
 def _load_automaton_file(path):
-    # imported here: only commands that read an automaton need json
-    import json
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return formats.load_automaton(json.load(fh))

@@ -11,14 +11,14 @@ An automaton's edges are plain (source, action, dest) tuples.  JSON text
 is written straight from the automaton or trace with fixed row templates,
 in the bytes of json.dumps with indent=2, sorted keys and non-ASCII kept,
 plus a newline.  Template keys are in sorted order, strings go through
-json's C string encoder, and ints and bools are written directly.  The
-json package is imported by the first string a writer encodes, so a
-command without JSON input or output never loads it.  The two
+the C string encoder, and ints and bools are written directly.  The two
 dict-valued functions are those texts parsed back, for the benchmark's
 own tests.
 """
 
+import json
 from functools import cache
+from json.encoder import encode_basestring
 
 from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
                   print_program, value_literal)
@@ -26,14 +26,6 @@ from .automaton import SILENT, Automaton, render_action
 from .semantics import Trace
 from .tauclose import NodeSet
 from .zipper import Cursor, render_cursor, render_path
-
-
-def encode_basestring(s: str) -> str:
-    """s as a JSON string.  The first call imports json's C encoder under
-    this global's name, so every later call goes straight to it."""
-    global encode_basestring
-    from json.encoder import encode_basestring
-    return encode_basestring(s)
 
 
 def _rows(items: list, indent: str) -> list:
@@ -156,12 +148,10 @@ def generic_automaton_json_text(aut: Automaton) -> str:
 
 
 def program_automaton_json(aut: Automaton) -> dict:
-    import json
     return json.loads(program_automaton_json_text(aut))
 
 
 def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
-    import json
     return json.loads(closed_automaton_json_text(base, closed))
 
 

@@ -479,42 +479,6 @@ def test_output_matches_the_golden_file(tmp_path, capsys, fixtures_dir,
     assert captured.err == ""
 
 
-SRC = str(Path(cli.__file__).resolve().parent.parent)
-JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
-
-
-def _fresh_python(code, *args):
-    """Run code in a fresh isolated UTF-8 interpreter, with this checkout's
-    src first on the path and args after it in sys.argv."""
-    return subprocess.run(
-        [sys.executable, "-I", "-X", "utf8", "-c",
-         "import sys; sys.path.insert(0, sys.argv[1])\n" + code, SRC, *args],
-        capture_output=True, timeout=60)
-
-
-FRESH_JSON = [
-    *((g, argv, 0) for g, argv in GOLDEN if g.endswith(".json")),
-    ("loop_trace_golden.json",
-     ["run", "LOOP", "--max-steps", "4", "--trace-format", "json"], 4),
-]
-
-
-# pytest has json loaded, so only a fresh process makes its first JSON
-# write, which imports json's string encoder
-@pytest.mark.parametrize("golden, argv, code", FRESH_JSON,
-                         ids=[g for g, _, _ in FRESH_JSON])
-def test_a_fresh_process_writes_the_golden_json(tmp_path, fixtures_dir,
-                                                golden, argv, code):
-    inputs = {"LOOP": write(tmp_path, "loop.imp", LOOP_SRC),
-              "FORK": str(fixtures_dir / "silent_fork.json")}
-    # the module run as `python -I -m zippersem` runs it
-    res = _fresh_python("import runpy; sys.argv[:2] = ['zippersem']; "
-                        "runpy.run_module('zippersem', run_name='__main__')",
-                        *[inputs.get(a, a) for a in argv])
-    assert res.returncode == code
-    assert res.stdout == (fixtures_dir / golden).read_bytes()
-
-
 def _nested(depth):
     """`x := true` wrapped `depth` times in `while (a) { ...; y := false }`."""
     return "while (a) { " * depth + "x := true" + "; y := false }" * depth
@@ -598,29 +562,12 @@ def test_an_unhashable_literal_keeps_its_loader_error(tmp_path, capsys):
 
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
-    # nor json, which only commands with JSON input or output import
-    slow = {"dataclasses", "inspect", *JSON_MODULES}
-    res = _fresh_python("import zippersem.cli; "
-                        f"print(sorted({slow!r} & set(sys.modules)))")
-    assert (res.returncode, res.stdout) == (0, b"[]\n")
-
-
-def test_commands_without_json_never_load_it(tmp_path):
-    f = write(tmp_path, "p.imp", "x := true; if (x) { y := false } "
-                                 "else { skip }; while (y) { skip }")
-    commands = [["parse"], ["parse", "--ast"], ["run"],
-                ["compile", "--format", "dot"],
-                ["compile", "--numbered", "--format", "dot"],
-                ["tauclose", "--format", "dot"], ["check", "sim"],
-                ["check", "closure"], ["check", "regular"], ["check", "tausim"]]
-    res = _fresh_python(
-        "import contextlib, io\n"
-        "from zippersem.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main([*argv, sys.argv[2]]) for argv in {commands!r}]\n"
-        f"print(codes, sorted({JSON_MODULES!r} & set(sys.modules)))", f)
-    assert (res.returncode, res.stdout, res.stderr) == \
-        (0, f"{[0] * len(commands)} []\n".encode(), b"")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import zippersem.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert res.stdout == "[]\n"
 
 
 def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch,

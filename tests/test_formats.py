@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import node_set, position_renaming
 from randgen import random_automaton, random_program, random_state
-from zippersem import formats
 from zippersem.ast import FALSE, TRUE, Assign, parse_program
 from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
@@ -79,12 +78,6 @@ def test_json_writers_on_empty_and_shared_parts():
     assert '"state": {},' in texts[5]
     assert [n["label"] for n in json.loads(texts[4])["nodes"]] == \
         ['sa"y', "é✓\u2028", "2.5", "None"]
-
-
-def test_writers_encode_strings_with_jsons_own_encoder():
-    # after the first string, the writers call json's encoder directly
-    generic_automaton_json_text(Automaton((0,), (), 0))
-    assert formats.encode_basestring is json.encoder.encode_basestring
 
 
 def test_action_json_roundtrip():
