@@ -6,11 +6,11 @@ independent breadth-first oracle.  Tests check the library's one ranked
 route, tauclose.close_automaton, against both.  node_key is the rendered
 sort key that tauclose.node_order reproduces with integer path ranks, and
 tau_simulation_scan is the edge-scanning witness check that
-tauclose.check_tau_simulation answers with set lookups; both were the
-library's routes before and are kept as their specifications.  node_set
-builds a closed node from any nodes in node_key order; the oracle
-closures use it, also for a seed outside the node list, which
-close_automaton refuses.
+tauclose.check_tau_simulation performs with its closed edges grouped by
+action; both were the library's routes before and are kept as their
+specifications.  node_set builds a closed node from any nodes in node_key
+order; the oracle closures use it, also for a seed outside the node list,
+which close_automaton refuses.
 position_renaming is the automaton that a positional JSON export
 re-imports as.  subterm_count is the recursive specification of the
 number of locations of a tree, and reconstruct plugs a focus back into

@@ -340,6 +340,20 @@ def test_witness_check_reports_as_the_scan_does(monkeypatch):
         aut = program_automaton(random_program(rng))
         cases.append((aut, close_automaton(aut)))
         cases.append((aut, _tampered(aut, rng)))
+    # large closed nodes with several destinations under one action
+    programs = []
+    for d in range(1, 11):
+        text = "x := true"
+        for _ in range(d):
+            text = f"while (a) {{ {text}; y := false }}"
+        programs.append(text)
+    for n in range(1, 41):
+        programs.append("; ".join("skip" if i % 10 == 9 else f"x{i % 10} := true"
+                                  for i in range(n)))
+    for text in programs:
+        aut = program_automaton(parse_program(text))
+        cases.append((aut, close_automaton(aut)))
+        cases.append((aut, _tampered(aut, rng)))
     failing = 0
     for m, mc in cases:
         # the check closes m itself; hand it mc, tampered or not
