@@ -24,23 +24,22 @@ and the end of input is the empty token.
 import re
 import reprlib
 import weakref
-from functools import partial
 
 
-def _forget(key, ref):
+class _Entry(weakref.ref):
+    """The table's entry for a node: a weak reference that carries its key."""
+    __slots__ = ("key",)
+
+
+def _forget(ref):
     """Drop a dead node's entry, unless a newer node holds the key now."""
-    if HashConsed._live.get(key) is ref:
-        del HashConsed._live[key]
+    if HashConsed._live.get(ref.key) is ref:
+        del HashConsed._live[ref.key]
 
 
 class _Interning(type):
-    """Fields are a class's own annotations, read from the built class so
-    that lazily evaluated annotations work too.  A call with one value per
-    field returns the live node of those values, or a new one it records."""
-
-    def __init__(cls, name, bases, ns):
-        super().__init__(name, bases, ns)
-        cls._fields = tuple(cls.__annotations__)
+    """Fields are a class's `__slots__`.  A call with one value per field
+    returns the live node of those values, or a new one it records."""
 
     def __call__(cls, *values):
         key = (cls, *values)
@@ -49,12 +48,13 @@ class _Interning(type):
             node = ref()
             if node is not None:
                 return node
-        if len(values) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} values")
+        if len(values) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} values")
         node = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
+        for name, value in zip(cls.__slots__, values):
             object.__setattr__(node, name, value)
-        HashConsed._live[key] = weakref.ref(node, partial(_forget, key))
+        ref = HashConsed._live[key] = _Entry(node, _forget)
+        ref.key = key
         return node
 
 
@@ -68,9 +68,10 @@ class HashConsed(metaclass=_Interning):
     a zipper step that rebuilds a parent gets the original node back.  An
     automaton edge's action is an Assign node itself, so actions compare
     and hash the same way.  The table of live values maps each key to a
-    weak reference, so dropping a program frees its nodes, and a dead
-    node's reference removes its own entry.
-    Subclasses declare their fields as annotations; nodes are immutable.
+    weak reference that carries the key, so dropping a program frees its
+    nodes, and a dead node's reference removes its own entry.
+    Concrete subclasses list their fields in `__slots__`; nodes are
+    immutable.
     """
 
     _live = {}
@@ -89,7 +90,7 @@ class HashConsed(metaclass=_Interning):
                 out.append(item)
                 continue
             parts = [f"{type(item).__qualname__}("]
-            for i, name in enumerate(item._fields):
+            for i, name in enumerate(type(item).__slots__):
                 v = getattr(item, name)
                 parts += [f"{', ' if i else ''}{name}=",
                           v if isinstance(v, HashConsed) else repr(v)]
@@ -102,11 +103,11 @@ class Value(HashConsed):
 
 
 class Bool(Value):
-    value: bool
+    __slots__ = ("value",)
 
 
 class Null(Value):
-    pass
+    __slots__ = ()
 
 
 TRUE = Bool(True)
@@ -119,11 +120,11 @@ class Expr(HashConsed):
 
 
 class Lit(Expr):
-    value: Value
+    __slots__ = ("value",)
 
 
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
 class Stmt(HashConsed):
@@ -131,28 +132,23 @@ class Stmt(HashConsed):
 
 
 class Skip(Stmt):
-    pass
+    __slots__ = ()
 
 
 class Assign(Stmt):
-    name: str
-    value: Value
+    __slots__ = ("name", "value")
 
 
 class Seq(Stmt):
-    first: Stmt
-    second: Stmt
+    __slots__ = ("first", "second")
 
 
 class Cond(Stmt):
-    test: Expr
-    then_branch: Stmt
-    else_branch: Stmt
+    __slots__ = ("test", "then_branch", "else_branch")
 
 
 class While(Stmt):
-    test: Expr
-    body: Stmt
+    __slots__ = ("test", "body")
 
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "true", "false", "null"})

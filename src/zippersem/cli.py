@@ -161,9 +161,9 @@ def cmd_check(args):
 
 
 def _input_automaton(args):
-    if args.automaton and args.file is not None:
+    if args.automaton is not None and args.file is not None:
         args.parser.error("give a program file or --automaton, not both")
-    if args.automaton:
+    if args.automaton is not None:
         return _load_automaton_file(args.automaton)
     if args.file is None:
         args.parser.error("need a program file or --automaton")

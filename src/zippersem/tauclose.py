@@ -65,7 +65,7 @@ class NodeSet(HashConsed):
     which is unique per set because of the canonical order, so equal sets
     are one object.
     """
-    members: tuple
+    __slots__ = ("members",)
 
     @cached_property
     def _set(self):

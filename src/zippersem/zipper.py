@@ -8,7 +8,7 @@ about to run and leaving means it just finished.  Cursors are the nodes of
 the compiled automata and the positions of the semantics.
 """
 
-from .ast import Cond, Expr, HashConsed, Seq, Stmt, While
+from .ast import Cond, HashConsed, Seq, Stmt, While
 
 
 class Path(HashConsed):
@@ -16,39 +16,32 @@ class Path(HashConsed):
 
 
 class Top(Path):
-    pass
+    __slots__ = ()
 
 
 class SeqLeft(Path):
     """Focus is the first statement of a Seq; `after` is the second."""
-    up: Path
-    after: Stmt
+    __slots__ = ("up", "after")
 
 
 class SeqRight(Path):
     """Focus is the second statement of a Seq; `before` is the first."""
-    before: Stmt
-    up: Path
+    __slots__ = ("before", "up")
 
 
 class CondThen(Path):
     """Focus is the then-branch of a Cond."""
-    test: Expr
-    up: Path
-    orelse: Stmt
+    __slots__ = ("test", "up", "orelse")
 
 
 class CondElse(Path):
     """Focus is the else-branch of a Cond."""
-    test: Expr
-    then_branch: Stmt
-    up: Path
+    __slots__ = ("test", "then_branch", "up")
 
 
 class WhileBody(Path):
     """Focus is the body of a While."""
-    test: Expr
-    up: Path
+    __slots__ = ("test", "up")
 
 
 TOP = Top()
@@ -60,9 +53,7 @@ class Cursor(HashConsed):
     entering=True sits just before the focus runs, entering=False just
     after it finished.
     """
-    focus: Stmt
-    path: Path
-    entering: bool
+    __slots__ = ("focus", "path", "entering")
 
 
 def _plug(c: Stmt, frame: Path) -> Stmt:

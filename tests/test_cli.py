@@ -46,6 +46,12 @@ def test_parse_error_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["parse", "/nonexistent/p.imp"]) == 2
     assert "error" in capsys.readouterr().err
+    # an empty automaton name is a file that cannot be opened, not no name
+    with pytest.raises(OSError) as expected:
+        open("", encoding="utf-8")
+    for command in (["tauclose"], ["check", "regular"], ["check", "tausim"]):
+        assert main(command + ["--automaton", ""]) == 2
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
 
 
 def test_program_file_with_a_byte_order_mark_parses(tmp_path, capsys):
@@ -189,9 +195,11 @@ def test_a_program_file_and_automaton_together_exit_2(tmp_path, capsys,
     f = write(tmp_path, "loop.imp", LOOP_SRC)
     fork = str(fixtures_dir / "silent_fork.json")
     for command in (["tauclose"], ["check", "regular"], ["check", "tausim"]):
-        # the file before or after the option
+        # the file before or after the option, whose value may be empty
         for argv in (command + [f, "--automaton", fork],
-                     command + ["--automaton", fork, f]):
+                     command + ["--automaton", fork, f],
+                     command + [f, "--automaton", ""],
+                     command + ["--automaton", "", f]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

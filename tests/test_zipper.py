@@ -137,3 +137,15 @@ def test_compile_adds_one_object_per_program_point():
     assert {t: after[t] - before[t] for t in after | before
             if after[t] != before[t]} == expected
     assert len(aut.nodes) == 2 * len(locs)
+
+
+def test_compile_tracks_under_four_objects_per_interned_node():
+    # each new node is itself, its key tuple and the weak reference that
+    # holds the key; the automaton's node list and edges add the rest
+    src = "; ".join(f"t{i} := true" for i in range(2000))
+    gc.collect()
+    objects, live = len(gc.get_objects()), len(HashConsed._live)
+    aut = program_automaton(parse_program(src))
+    added = len(HashConsed._live) - live
+    assert len(aut.nodes) == 7998
+    assert len(gc.get_objects()) - objects < 4 * added
