@@ -70,10 +70,13 @@ class HashConsed(metaclass=_Interning):
     and hash the same way.  The table of live values maps each key to a
     weak reference that carries the key, so dropping a program frees its
     nodes, and a dead node's reference removes its own entry.
-    Concrete subclasses list their fields in `__slots__`; nodes are
+    Each concrete class subclasses this one directly and lists its fields
+    in `__slots__`; this base adds only the weak reference slot, so a node
+    holds its fields and nothing else, and has no `__dict__`.  Nodes are
     immutable.
     """
 
+    __slots__ = ("__weakref__",)
     _live = {}
 
     def __setattr__(self, name, value=None):
@@ -98,57 +101,55 @@ class HashConsed(metaclass=_Interning):
         return "".join(out)
 
 
-class Value(HashConsed):
-    """Runtime value: a boolean or null."""
-
-
-class Bool(Value):
+class Bool(HashConsed):
     __slots__ = ("value",)
 
 
-class Null(Value):
+class Null(HashConsed):
     __slots__ = ()
 
+
+# runtime value: a boolean or null
+Value = Bool | Null
 
 TRUE = Bool(True)
 FALSE = Bool(False)
 NULL = Null()
 
 
-class Expr(HashConsed):
-    """Expression: a literal value or a variable read."""
-
-
-class Lit(Expr):
+class Lit(HashConsed):
     __slots__ = ("value",)
 
 
-class Var(Expr):
+class Var(HashConsed):
     __slots__ = ("name",)
 
 
-class Stmt(HashConsed):
-    """Statement."""
+# expression: a literal value or a variable read
+Expr = Lit | Var
 
 
-class Skip(Stmt):
+class Skip(HashConsed):
     __slots__ = ()
 
 
-class Assign(Stmt):
+class Assign(HashConsed):
     __slots__ = ("name", "value")
 
 
-class Seq(Stmt):
+class Seq(HashConsed):
     __slots__ = ("first", "second")
 
 
-class Cond(Stmt):
+class Cond(HashConsed):
     __slots__ = ("test", "then_branch", "else_branch")
 
 
-class While(Stmt):
+class While(HashConsed):
     __slots__ = ("test", "body")
+
+
+Stmt = Skip | Assign | Seq | Cond | While
 
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "true", "false", "null"})

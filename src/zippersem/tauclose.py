@@ -27,7 +27,7 @@ is the one close_automaton computes, and `zippersem check tausim` closes
 at most once.
 """
 
-from functools import cached_property
+from functools import cache
 from typing import NamedTuple
 
 from .ast import HashConsed, value_literal
@@ -66,13 +66,6 @@ class NodeSet(HashConsed):
     are one object.
     """
     __slots__ = ("members",)
-
-    @cached_property
-    def _set(self):
-        return frozenset(self.members)
-
-    def __contains__(self, n):
-        return n in self._set
 
     def __iter__(self):
         return iter(self.members)
@@ -257,11 +250,13 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     mc_out = {}         # closed node -> action -> destinations
     for src, a2, d2 in mc.edges:
         mc_out.setdefault(src, {}).setdefault(a2, set()).add(d2)
+    # the member set of each destination closed node tested, built once
+    members_of = cache(lambda s2: set(s2.members))
     checked = 0
     for s2 in dict.fromkeys(mc.nodes):
-        # a set that lives for this closed node's scan only: caching one on
-        # every closed node (NodeSet._set) keeps them all alive at once,
-        # which nearly tripled peak memory on a 2000-statement chain
+        # a set that lives for this closed node's scan only: a member set
+        # kept for every closed node at once nearly tripled peak memory on
+        # a 2000-statement chain
         inside = set(s2.members)
         out = mc_out.get(s2, {})
         for s1 in s2.members:
@@ -271,8 +266,9 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
                 if a is SILENT and d in inside:
                     continue
                 dests = out.get(a)
-                if dests and (closed_of.get(d) in dests and d in closed_of[d]
-                              or any(d in d2 for d2 in dests)):
+                if dests and (closed_of.get(d) in dests
+                              and d in members_of(closed_of[d])
+                              or any(d in members_of(d2) for d2 in dests)):
                     continue
                 return TauSimReport(checked, (s1, s2, e, "unmatched edge"))
     return TauSimReport(checked)

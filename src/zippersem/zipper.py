@@ -11,38 +11,37 @@ the compiled automata and the positions of the semantics.
 from .ast import Cond, HashConsed, Seq, Stmt, While
 
 
-class Path(HashConsed):
-    """Inverted context of a focus; frames point upward to the root."""
-
-
-class Top(Path):
+class Top(HashConsed):
     __slots__ = ()
 
 
-class SeqLeft(Path):
+class SeqLeft(HashConsed):
     """Focus is the first statement of a Seq; `after` is the second."""
     __slots__ = ("up", "after")
 
 
-class SeqRight(Path):
+class SeqRight(HashConsed):
     """Focus is the second statement of a Seq; `before` is the first."""
     __slots__ = ("before", "up")
 
 
-class CondThen(Path):
+class CondThen(HashConsed):
     """Focus is the then-branch of a Cond."""
     __slots__ = ("test", "up", "orelse")
 
 
-class CondElse(Path):
+class CondElse(HashConsed):
     """Focus is the else-branch of a Cond."""
     __slots__ = ("test", "then_branch", "up")
 
 
-class WhileBody(Path):
+class WhileBody(HashConsed):
     """Focus is the body of a While."""
     __slots__ = ("test", "up")
 
+
+# inverted context of a focus; frames point upward to the root
+Path = Top | SeqLeft | SeqRight | CondThen | CondElse | WhileBody
 
 TOP = Top()
 
@@ -54,21 +53,6 @@ class Cursor(HashConsed):
     after it finished.
     """
     __slots__ = ("focus", "path", "entering")
-
-
-def _plug(c: Stmt, frame: Path) -> Stmt:
-    """The parent statement that `frame` builds around the focus `c`."""
-    if isinstance(frame, SeqLeft):
-        return Seq(c, frame.after)
-    if isinstance(frame, SeqRight):
-        return Seq(frame.before, c)
-    if isinstance(frame, CondThen):
-        return Cond(frame.test, c, frame.orelse)
-    if isinstance(frame, CondElse):
-        return Cond(frame.test, frame.then_branch, c)
-    if isinstance(frame, WhileBody):
-        return While(frame.test, c)
-    raise TypeError(f"not a path: {frame!r}")
 
 
 def all_locations(c: Stmt) -> list[tuple[Stmt, Path]]:
@@ -105,7 +89,15 @@ def advance(c: Stmt, sp: Path) -> Cursor:
         return Cursor(c, sp, False)
     if isinstance(sp, SeqLeft):
         return Cursor(sp.after, SeqRight(c, sp.up), True)
-    return Cursor(_plug(c, sp), sp.up, isinstance(sp, WhileBody))
+    if isinstance(sp, SeqRight):
+        return Cursor(Seq(sp.before, c), sp.up, False)
+    if isinstance(sp, CondThen):
+        return Cursor(Cond(sp.test, c, sp.orelse), sp.up, False)
+    if isinstance(sp, CondElse):
+        return Cursor(Cond(sp.test, sp.then_branch, c), sp.up, False)
+    if isinstance(sp, WhileBody):
+        return Cursor(While(sp.test, c), sp.up, True)
+    raise TypeError(f"not a path: {sp!r}")
 
 
 _SEGMENT = {

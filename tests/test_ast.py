@@ -7,14 +7,15 @@ import pytest
 
 from oracles import subterm_count
 from randgen import random_program
-from zippersem.ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, HashConsed,
-                           Lit, Null, ParseError, Seq, Skip, Var, While,
-                           parse_program, parse_value_literal, print_program,
-                           value_literal)
+from zippersem.ast import (FALSE, NULL, TRUE, Assign, Bool, Cond, Expr,
+                           HashConsed, Lit, Null, ParseError, Seq, Skip, Stmt,
+                           Value, Var, While, parse_program,
+                           parse_value_literal, print_program, value_literal)
 from zippersem.automaton import check_simulation, program_automaton
 from zippersem.semantics import run_trace
 from zippersem.tauclose import NodeSet, close_automaton
-from zippersem.zipper import TOP, Cursor, SeqLeft
+from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, Path, SeqLeft,
+                              SeqRight, Top, WhileBody)
 
 LOOP_SRC = "while (e) { x := true; y := false }"
 
@@ -202,6 +203,29 @@ def test_nodes_are_immutable_and_take_every_field():
                  lambda: NodeSet((1,), (2,)), lambda: Skip(1)):
         with pytest.raises(TypeError):
             make()
+
+
+def test_nodes_hold_their_fields_only_and_the_unions_name_their_classes():
+    x = Var("x")
+    body = Assign("x", TRUE)
+    unions = {
+        Value: [TRUE, NULL],
+        Expr: [Lit(FALSE), x],
+        Stmt: [Skip(), body, Seq(body, body), Cond(x, body, body),
+               While(x, body)],
+        Path: [TOP, SeqLeft(TOP, body), SeqRight(body, TOP),
+               CondThen(x, TOP, body), CondElse(x, body, TOP),
+               WhileBody(x, TOP)],
+    }
+    others = [Cursor(body, TOP, True), NodeSet((1, 2))]
+    nodes = [n for members in unions.values() for n in members] + others
+    for n in nodes:
+        assert not hasattr(n, "__dict__"), type(n).__name__
+    # one node of every concrete class
+    assert {type(n) for n in nodes} == set(HashConsed.__subclasses__())
+    for union, members in unions.items():
+        for n in nodes:
+            assert isinstance(n, union) == (n in members), (union, n)
 
 
 def test_dropped_programs_leave_no_live_nodes():

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from randgen import random_program
-from zippersem import automaton, cli, tauclose
-from zippersem.ast import parse_program, print_program
+from zippersem import automaton, cli, semantics, tauclose
+from zippersem.ast import FALSE, TRUE, parse_program, print_program
 from zippersem.cli import main
 
 LOOP_SRC = "while (true) { x := true; y := false }\n"
@@ -248,6 +248,32 @@ def test_check_sim(tmp_path, capsys):
     f = write(tmp_path, "loop.imp", LOOP_SRC)
     assert main(["check", "sim", f, "--max-steps", "60"]) == 0
     assert "sim: 60 steps matched" in capsys.readouterr().out
+
+
+def test_check_sim_reports_a_semantics_the_automaton_does_not_match(
+        tmp_path, capsys, monkeypatch):
+    sem_step = semantics.sem_step
+
+    def negating_sem_step(cfg):
+        # SAssign binds the negated value
+        result = sem_step(cfg)
+        if result is None or result[1] != "SAssign":
+            return result
+        (cursor, state), rule = result
+        name = cfg.cursor.focus.name
+        negated = {TRUE: FALSE, FALSE: TRUE}[state[name]]
+        return semantics.Config(cursor, {**state, name: negated}), rule
+
+    monkeypatch.setattr(semantics, "sem_step", negating_sem_step)
+    src = "x := true; y := false"
+    report = automaton.check_simulation(parse_program(src), {})
+    assert report.steps_checked == 1 and report.violation[0] == 1
+    f = write(tmp_path, "p.imp", src)
+    assert main(["check", "sim", f]) == 5
+    assert capsys.readouterr().out == (
+        "sim: 1 steps matched, trace status terminated\n"
+        "violation at step 1: no edge from seqL ↓ to seqL ↑ with matching "
+        "action\n")
 
 
 def test_check_sim_rejects_automaton_flag(tmp_path, capsys):
@@ -574,7 +600,8 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import zippersem.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-I", "-c", code, src],
-                         capture_output=True, text=True, timeout=60, check=True)
+                         capture_output=True, encoding="utf-8", timeout=60,
+                         check=True)
     assert res.stdout == "[]\n"
 
 
