@@ -59,7 +59,7 @@ class _Interning(type):
 
 
 class HashConsed(metaclass=_Interning):
-    """Base of every syntax node, path frame, cursor and node set.
+    """Base of every syntax node, path frame and cursor.
 
     Evaluation walks one fixed syntax tree and the automata compare program
     points, positions in that tree, all the time.  Hash-consing (Filliâtre
@@ -73,7 +73,9 @@ class HashConsed(metaclass=_Interning):
     Each concrete class subclasses this one directly and lists its fields
     in `__slots__`; this base adds only the weak reference slot, so a node
     holds its fields and nothing else, and has no `__dict__`.  Nodes are
-    immutable.
+    immutable.  The node sets of closed automata are not interned:
+    close_automaton builds each one once, so a table entry would only
+    cost.
     """
 
     __slots__ = ("__weakref__",)

@@ -57,12 +57,21 @@ def _parse_state(text):
     return state
 
 
+# encoding a large output in one write would hold a second copy of it
+_CHUNK = 1 << 20
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh, text)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
+
+
+def _write(fh, text):
+    for i in range(0, len(text), _CHUNK):
+        fh.write(text[i:i + _CHUNK])
 
 
 def cmd_parse(args):

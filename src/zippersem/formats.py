@@ -3,7 +3,7 @@ generic integer-noded automaton shape.
 
 Node rendering lives here: render_node prints cursors, closures and plain
 ids.  One writer, automaton_json_text, lays out every automaton JSON
-shape; the shapes differ only in their node rows.  JSON node ids and DOT
+shape; the shapes differ only in their node lists.  JSON node ids and DOT
 node names are positions in the node list, so exports are deterministic
 and re-import as the position-renamed automaton.
 
@@ -11,7 +11,12 @@ An automaton's edges are plain (source, action, dest) tuples.  JSON text
 is written straight from the automaton or trace with fixed row templates,
 in the bytes of json.dumps with indent=2, sorted keys and non-ASCII kept,
 plus a newline.  Template keys are in sorted order, strings go through
-the C string encoder, and ints and bools are written directly.  The two
+the C string encoder, and ints and bools are written directly.  A
+compiled program's node list is written from texts built once each: a
+subterm's escaped text from its children's, a path's from its parent's.
+They go into the output's one join by reference, since two cursors
+share each focus and path, so compiling costs time in the output's
+size, not a walk per node.  The two
 dict-valued functions are those texts parsed back, for the benchmark's
 own tests.
 """
@@ -20,12 +25,13 @@ import json
 from functools import cache
 from json.encoder import encode_basestring
 
-from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
-                  print_program, value_literal)
+from .ast import (Assign, Cond, Seq, Skip, While, brief_repr, is_valid_name,
+                  parse_value_literal, print_expr, print_program,
+                  value_literal)
 from .automaton import SILENT, Automaton, render_action
 from .semantics import Trace
 from .tauclose import NodeSet
-from .zipper import Cursor, render_cursor, render_path
+from .zipper import Cursor, path_texts, render_cursor, render_path
 
 
 def _rows(items: list, indent: str) -> list:
@@ -93,33 +99,98 @@ def _node_ids(aut: Automaton) -> dict:
 _EDGE_ROW = '{\n      "action": %s,\n      "dest": %d,\n      "source": %d\n    }'
 
 
-def automaton_json_text(aut: Automaton, node_row) -> str:
+def automaton_json_text(aut: Automaton, node_list) -> str:
     """The JSON text of every automaton: positional node ids, edges
-    between ids and the initial node's id.  node_row(n, i) gives the
-    object of node n with id i as an item of the node list: fields at
-    six spaces, closing brace at four."""
+    between ids and the initial node's id.  node_list(ids) gives the
+    node list from the ids of the distinct nodes, as pieces of the text:
+    brackets at two spaces, each node's fields at six."""
     ids = _node_ids(aut)
     # edges share a few actions, each rendered once
     actions = {a: _action_text(a) for a in {a for _, a, _ in aut.edges}}
     edges = [_EDGE_ROW % (actions[a], ids[dest], ids[source])
              for source, a, dest in aut.edges]
-    nodes = [node_row(n, i) for n, i in ids.items()]
     return "".join(['{\n  "edges": ', *_rows(edges, "  "),
                     ',\n  "init": %d,\n  "nodes": ' % ids[aut.init],
-                    *_rows(nodes, "  "), "\n}\n"])
+                    *node_list(ids), "\n}\n"])
 
 
-_PROGRAM_NODE_ROW = ('{\n      "flag": %s,\n      "focus": %s,\n      "id": %d,'
-                     '\n      "path": %s\n    }')
+def _node_rows(node_row):
+    """The node_list of string rows: node_row(n, i) gives the object of
+    node n with id i, closing brace at four spaces."""
+    return lambda ids: _rows([node_row(n, i) for n, i in ids.items()], "  ")
+
+
+def _escaped(s: str) -> str:
+    """s JSON-escaped, without its quotes."""
+    return encode_basestring(s)[1:-1]
+
+
+def _statement_texts(foci) -> dict:
+    """The escaped print_program text of each statement in foci and of
+    its subterms, each built once from its children's texts, on an
+    explicit stack.  Escaping maps each character on its own, so escaped
+    parts concatenate to the escaped whole."""
+    text = {}
+    for root in foci:
+        stack = [root]
+        while stack:
+            c = stack[-1]
+            if c in text:
+                stack.pop()
+            elif isinstance(c, Skip):
+                text[c] = "skip"
+            elif isinstance(c, Assign):
+                text[c] = f"{_escaped(c.name)} := {value_literal(c.value)}"
+            elif isinstance(c, Seq):
+                if c.first in text and c.second in text:
+                    text[c] = f"{text[c.first]}; {text[c.second]}"
+                else:
+                    stack += (c.second, c.first)
+            elif isinstance(c, Cond):
+                if c.then_branch in text and c.else_branch in text:
+                    text[c] = (f"if ({_escaped(print_expr(c.test))}) "
+                               f"{{ {text[c.then_branch]} }} "
+                               f"else {{ {text[c.else_branch]} }}")
+                else:
+                    stack += (c.else_branch, c.then_branch)
+            elif isinstance(c, While):
+                if c.body in text:
+                    text[c] = (f"while ({_escaped(print_expr(c.test))}) "
+                               f"{{ {text[c.body]} }}")
+                else:
+                    stack.append(c.body)
+            else:
+                raise TypeError(f"not a statement: {c!r}")
+    return text
+
+
+# a program node in five pieces: the head, which carries the separator
+# from the node before, the focus text, the id, the path text, the tail
+_PROGRAM_HEAD = ',\n    {\n      "flag": %s,\n      "focus": "'
+_ENTERING_HEAD = _PROGRAM_HEAD % "true"
+_LEAVING_HEAD = _PROGRAM_HEAD % "false"
+_PROGRAM_ID = '",\n      "id": %d,\n      "path": "'
+_PROGRAM_TAIL = '"\n    }'
+
+
+def _program_node_list(ids: dict) -> list:
+    """The node list of cursors, which holds at least the initial one.
+    Two cursors share each focus and path, whose texts go into the one
+    join of the output by reference."""
+    focus = _statement_texts(n.focus for n in ids)
+    path = path_texts(n.path for n in ids)
+    pieces = []
+    for n, i in ids.items():
+        pieces += (_ENTERING_HEAD if n.entering else _LEAVING_HEAD,
+                   focus[n.focus], _PROGRAM_ID % i, path[n.path], _PROGRAM_TAIL)
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n  ]")
+    return pieces
 
 
 def program_automaton_json_text(aut: Automaton) -> str:
     """JSON text for a cursor-noded automaton."""
-    # two cursors share each focus; equal subterms are one object
-    focus = cache(lambda c: encode_basestring(print_program(c)))
-    return automaton_json_text(aut, lambda n, i: _PROGRAM_NODE_ROW % (
-        "true" if n.entering else "false", focus(n.focus), i,
-        encode_basestring(render_path(n.path))))
+    return automaton_json_text(aut, _program_node_list)
 
 
 def _member_ids(base: Automaton):
@@ -128,14 +199,19 @@ def _member_ids(base: Automaton):
     return lambda n: sorted(base_ids[m] for m in n.members)
 
 
-_CLOSED_NODE_ROW = '{\n      "id": %d,\n      "members": %s\n    }'
+# a closed node's row: its member ids go between these in one join
+_CLOSED_HEAD = '{\n      "id": %d,\n      "members": [\n        '
+_MEMBER_SEP = ",\n        "
+_CLOSED_TAIL = '\n      ]\n    }'
 
 
 def closed_automaton_json_text(base: Automaton, closed: Automaton) -> str:
-    """JSON text for a closed automaton; members are base node ids."""
+    """JSON text for a closed automaton; members are base node ids, of
+    which every closed node has at least one."""
     members = _member_ids(base)
-    return automaton_json_text(closed, lambda n, i: _CLOSED_NODE_ROW % (
-        i, "".join(_rows(list(map(str, members(n))), "      "))))
+    return automaton_json_text(closed, _node_rows(lambda n, i: "".join((
+        _CLOSED_HEAD % i, _MEMBER_SEP.join(map(str, members(n))),
+        _CLOSED_TAIL))))
 
 
 _GENERIC_NODE_ROW = '{\n      "id": %d,\n      "label": %s\n    }'
@@ -143,8 +219,8 @@ _GENERIC_NODE_ROW = '{\n      "id": %d,\n      "label": %s\n    }'
 
 def generic_automaton_json_text(aut: Automaton) -> str:
     """JSON text for an automaton over plain (typically int) nodes."""
-    return automaton_json_text(aut, lambda n, i: _GENERIC_NODE_ROW % (
-        i, encode_basestring(render_node(n))))
+    return automaton_json_text(aut, _node_rows(lambda n, i: _GENERIC_NODE_ROW % (
+        i, encode_basestring(render_node(n)))))
 
 
 def program_automaton_json(aut: Automaton) -> dict:

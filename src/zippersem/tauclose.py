@@ -58,14 +58,23 @@ def node_order(nodes):
     return key
 
 
-class NodeSet(HashConsed):
+class NodeSet:
     """Duplicate-free, canonically ordered set of base nodes.
 
-    The node type of closed automata.  Hash-consed on the member tuple,
-    which is unique per set because of the canonical order, so equal sets
-    are one object.
+    The node type of closed automata.  Not hash-consed: close_automaton
+    builds each closed node once and shares it, so a closed automaton's
+    equal node sets are one object, and equality and hashing are object
+    identity.  Closed nodes of two closes are distinct objects; compare
+    their `members`.  Immutable, with no `__dict__`.
     """
     __slots__ = ("members",)
+
+    def __init__(self, members: tuple):
+        object.__setattr__(self, "members", members)
+
+    __setattr__ = HashConsed.__setattr__
+    __delattr__ = HashConsed.__delattr__
+    __repr__ = HashConsed.__repr__
 
     def __iter__(self):
         return iter(self.members)
@@ -86,8 +95,11 @@ def _closures(succ):
     The search completes components in reverse topological order, so when
     it pops a component, every component that one reaches is complete, and
     its closure is built there and then: its members plus the closures of
-    its successor components.  The successors are taken in topological
-    order, and one whose first member the closure already holds is skipped,
+    its successor components.  A component with at most one successor
+    component takes its members plus that closure as they are, since no
+    member can be in a successor's closure without sharing its component.
+    Otherwise the successors are taken in topological order into a reach
+    set, and one whose first member the set already holds is skipped,
     since its whole closure is in there too.  Returns (component per
     vertex, closure of each component as a sorted tuple of vertices,
     successor components each closure was built from), with components
@@ -132,15 +144,23 @@ def _closures(succ):
                         w = stack.pop()
                         comp[w] = c
                         members.append(w)
-                    reach = set(members)
-                    took = []
-                    after = {comp[j] for i in members for j in succ[i]} - {c}
-                    for d in sorted(after, reverse=True):
-                        if first[d] not in reach:
-                            reach.update(closures[d])
-                            took.append(d)
                     first.append(members[0])
-                    closures.append(tuple(sorted(reach)))
+                    after = {comp[j] for i in members for j in succ[i]} - {c}
+                    if len(after) > 1:
+                        reach = set(members)
+                        took = []
+                        for d in sorted(after, reverse=True):
+                            if first[d] not in reach:
+                                reach.update(closures[d])
+                                took.append(d)
+                        members = reach
+                    else:
+                        # no member is in the successor's closure, or it
+                        # would share that component: no set is needed
+                        took = list(after)
+                        for d in took:
+                            members += closures[d]
+                    closures.append(tuple(sorted(members)))
                     parts.append(took)
     return comp, closures, parts
 

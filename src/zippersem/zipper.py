@@ -118,6 +118,22 @@ def render_path(sp: Path) -> str:
     return "/".join(reversed(parts)) or "@top"
 
 
+def path_texts(paths) -> dict:
+    """render_path of each given path and of every path above it, each
+    text built once from its parent's text."""
+    text = {TOP: "@top"}
+    for p in paths:
+        chain = []
+        while p not in text:
+            chain.append(p)
+            p = p.up
+        t = text[p]
+        for q in reversed(chain):
+            seg = _SEGMENT[type(q)]
+            t = text[q] = seg if q.up is TOP else f"{t}/{seg}"
+    return text
+
+
 _SEGMENT_RANK = {t: i for i, t in enumerate(sorted(_SEGMENT, key=_SEGMENT.get))}
 
 

@@ -10,7 +10,8 @@ tauclose.check_tau_simulation performs with its closed edges grouped by
 action; both were the library's routes before and are kept as their
 specifications.  node_set builds a closed node from any nodes in node_key
 order; the oracle closures use it, also for a seed outside the node list,
-which close_automaton refuses.
+which close_automaton refuses, and closed_shape gives a closed automaton
+by its members, which closes apart share.
 position_renaming is the automaton that a positional JSON export
 re-imports as.  subterm_count is the recursive specification of the
 number of locations of a tree, and reconstruct plugs a focus back into
@@ -82,6 +83,16 @@ def node_set(it) -> NodeSet:
     """The closed node of the given nodes: distinct, in node_key order."""
     nodes = set(it)
     return NodeSet(tuple(sorted(nodes, key=node_key)))
+
+
+def closed_shape(aut: Automaton) -> tuple:
+    """A closed automaton by the members of its node sets: members per
+    node, edges as (members, action, members) and the initial node's
+    members.  Closed nodes compare by identity, so closures built apart
+    compare through this."""
+    return (tuple(n.members for n in aut.nodes),
+            tuple((s.members, a, d.members) for s, a, d in aut.edges),
+            aut.init.members)
 
 
 def closure_step(aut: Automaton, seed, x) -> frozenset:

@@ -217,12 +217,14 @@ def test_nodes_hold_their_fields_only_and_the_unions_name_their_classes():
                CondThen(x, TOP, body), CondElse(x, body, TOP),
                WhileBody(x, TOP)],
     }
-    others = [Cursor(body, TOP, True), NodeSet((1, 2))]
-    nodes = [n for members in unions.values() for n in members] + others
+    interned = [n for members in unions.values() for n in members]
+    interned.append(Cursor(body, TOP, True))
+    nodes = interned + [NodeSet((1, 2))]
     for n in nodes:
         assert not hasattr(n, "__dict__"), type(n).__name__
-    # one node of every concrete class
-    assert {type(n) for n in nodes} == set(HashConsed.__subclasses__())
+    # one node of every interned class; node sets are not interned
+    assert {type(n) for n in interned} == set(HashConsed.__subclasses__())
+    assert not isinstance(nodes[-1], HashConsed)
     for union, members in unions.items():
         for n in nodes:
             assert isinstance(n, union) == (n in members), (union, n)

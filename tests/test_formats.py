@@ -2,14 +2,17 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import node_set, position_renaming
+from oracles import closed_shape, node_set, position_renaming
 from randgen import random_automaton, random_program, random_state
-from zippersem.ast import FALSE, TRUE, Assign, parse_program
+from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
+                           Var, While, parse_program, print_program,
+                           value_literal)
 from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
 from zippersem.formats import (action_from_json, automaton_dot,
@@ -21,6 +24,7 @@ from zippersem.formats import (action_from_json, automaton_dot,
                                render_state, trace_json_text, trace_text)
 from zippersem.semantics import run_trace
 from zippersem.tauclose import close_automaton
+from zippersem.zipper import render_path
 
 LOOP = parse_program("while (true) { x := true; y := false }")
 
@@ -31,11 +35,32 @@ def _canonical(text):
                       ensure_ascii=False) + "\n"
 
 
+def _program_json_by_rows(aut):
+    """The compiled automaton's JSON from a dict of rows, each node's
+    focus printed and path rendered on its own."""
+    ids = {n: i for i, n in enumerate(dict.fromkeys(aut.nodes))}
+
+    def action(a):
+        if a is SILENT:
+            return {"kind": "none"}
+        return {"kind": "assign", "val": value_literal(a.value), "var": a.name}
+
+    return json.dumps({
+        "edges": [{"action": action(a), "dest": ids[d], "source": ids[s]}
+                  for s, a, d in aut.edges],
+        "init": ids[aut.init],
+        "nodes": [{"flag": n.entering, "focus": print_program(n.focus),
+                   "id": i, "path": render_path(n.path)}
+                  for n, i in ids.items()],
+    }, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_json_writers_write_the_bytes_of_json_dumps(seed):
     # every writer on a random program's automaton and its closure, a
-    # random automaton and its closure, and the program's traces
+    # random automaton and its closure, and the program's traces; the
+    # program's text is also its rows printed one by one
     rng = random.Random(seed)
     c = random_program(rng)
     aut = program_automaton(c)
@@ -49,6 +74,7 @@ def test_json_writers_write_the_bytes_of_json_dumps(seed):
               for limit in (0, 1, 200)]
     for text in texts:
         assert text == _canonical(text)
+    assert texts[0] == _program_json_by_rows(aut)
 
 
 def test_json_writers_on_empty_and_shared_parts():
@@ -110,6 +136,26 @@ def test_program_automaton_json_shape():
     assert len(data["edges"]) == 8
     kinds = [e["action"]["kind"] for e in data["edges"]]
     assert kinds.count("assign") == 2
+
+
+def test_program_json_of_deep_and_hostile_programs():
+    # a chain and a nest deeper than the default recursion limit, and
+    # names that JSON escapes, each escaped apart from its neighbours
+    chain = parse_program("; ".join(f"x{i % 10} := true" for i in range(1100)))
+    nest = parse_program("while (a) { " * 600 + "x := true"
+                         + "; y := false }" * 600)
+    odd = ['q"uote', "back\\slash", "bell\x07", "tab\t", "é\u2028✓", '\\"']
+    hostile = Seq(Assign(odd[0], TRUE), Cond(
+        Var(odd[1]), While(Var(odd[2]), Seq(Assign(odd[3], NULL), Skip())),
+        While(Lit(FALSE), Seq(Assign(odd[4], FALSE), Assign(odd[5], TRUE)))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for c in (chain, nest, hostile):
+            aut = program_automaton(c)
+            assert program_automaton_json_text(aut) == _program_json_by_rows(aut)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_closed_json_members_are_base_ids(silent_fork):
@@ -177,11 +223,12 @@ def test_renaming_commutes_with_closure_memberwise():
         closed_before = close_automaton(m)
 
         def mapped(ns):
-            return node_set(ids[x] for x in ns)
+            return node_set(ids[x] for x in ns).members
 
-        assert list(closed_after.nodes) == [mapped(ns) for ns in closed_before.nodes]
-        assert closed_after.init == mapped(closed_before.init)
-        assert set(closed_after.edges) == \
+        nodes, edges, init = closed_shape(closed_after)
+        assert list(nodes) == [mapped(ns) for ns in closed_before.nodes]
+        assert init == mapped(closed_before.init)
+        assert set(edges) == \
             {(mapped(s), a, mapped(d)) for s, a, d in closed_before.edges}
 
 

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from oracles import (closure_bfs, closure_step, node_key, node_set,
-                     tau_closure, tau_simulation_scan)
+from oracles import (closed_shape, closure_bfs, closure_step, node_key,
+                     node_set, tau_closure, tau_simulation_scan)
 from randgen import random_automaton, random_program, random_silent_automaton
 from zippersem import tauclose
 from zippersem.ast import TRUE, Assign, parse_program
 from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
+from zippersem.formats import render_node
 from zippersem.tauclose import (NodeSet, action_key, check_tau_simulation,
                                 close_automaton, node_order)
 
@@ -34,8 +35,10 @@ def _closable(m):
 
 def test_node_set_canonicalizes():
     assert node_set([3, 1, 2, 1]).members == (1, 2, 3)
-    assert node_set([2, 1]) == node_set([1, 2])
-    assert node_set([2, 1]) is node_set([1, 2])
+    # not interned: two builds are two objects with equal members
+    first, second = node_set([2, 1]), node_set([1, 2])
+    assert first.members == second.members == (1, 2)
+    assert first is not second and first != second
     ns = node_set([5, 4])
     assert 4 in ns and 6 not in ns
     assert list(ns) == [4, 5] and len(ns) == 2
@@ -55,9 +58,9 @@ def test_closure_step_keeps_a_foreign_seed(silent_fork):
 
 def test_tau_closure_fixpoints(silent_fork):
     m = silent_fork
-    assert tau_closure(m, 1) == node_set({1, 2, 3})
+    assert tau_closure(m, 1).members == (1, 2, 3)
     for n in (2, 3, 4, 5):
-        assert tau_closure(m, n) == node_set({n})
+        assert tau_closure(m, n).members == (n,)
 
 
 def test_closure_ignores_silent_edges_to_foreign_nodes():
@@ -87,7 +90,7 @@ def test_closed_init_outside_node_list():
         m = Automaton(base.nodes, base.edges + extra[:rng.randint(0, 5)], 0)
         with pytest.raises(ValueError, match=FOREIGN_INIT):
             close_automaton(m)
-        assert tau_closure(m, 0) == closure_bfs(m, 0)
+        assert tau_closure(m, 0).members == closure_bfs(m, 0).members
 
 
 def test_closed_nodes_order_preserved_with_equal_closures():
@@ -95,6 +98,17 @@ def test_closed_nodes_order_preserved_with_equal_closures():
     ns = close_automaton(m).nodes
     assert [s.members for s in ns] == [(1, 2), (1, 2)]
     assert ns[0] == ns[1]
+
+
+def test_closes_of_automata_with_ids_equal_across_types_stay_apart():
+    # 1 == True, and an interned node set keyed on its members merged
+    # the second close's init into the first's
+    ints = close_automaton(Automaton((1, 2), ((1, SILENT, 2),), 1))
+    bools = close_automaton(Automaton((True, 2), ((True, SILENT, 2),), True))
+    assert bools.init is not ints.init
+    assert render_node(ints.init) == "{1, 2}"
+    assert render_node(bools.init) == "{True, 2}"
+    assert bools.init.members[0] is True
 
 
 def test_closed_edges_golden(silent_fork):
@@ -113,7 +127,7 @@ def test_closed_edges_golden(silent_fork):
 def test_closed_automaton_is_silent_free(silent_fork):
     closed = close_automaton(silent_fork)
     assert all(a != SILENT for _, a, _ in closed.edges)
-    assert closed.init == node_set({1, 2, 3})
+    assert closed.init.members == (1, 2, 3)
     assert is_regular(closed)
 
 
@@ -150,8 +164,10 @@ def test_three_way_agreement_on_random_automata():
         m = _closable(m)
         closed = close_automaton(m)
         for n, via_bulk in zip(m.nodes, closed.nodes):
-            assert tau_closure(m, n) == closure_bfs(m, n) == via_bulk
-        assert closed.init == tau_closure(m, m.init) == closure_bfs(m, m.init)
+            assert tau_closure(m, n).members == \
+                closure_bfs(m, n).members == via_bulk.members
+        assert closed.init.members == tau_closure(m, m.init).members == \
+            closure_bfs(m, m.init).members
 
 
 def test_closure_step_is_monotone_and_extensive():
@@ -187,8 +203,8 @@ def test_closed_edges_match_the_candidate_product_filter():
     automata += [random_silent_automaton(shaped, max_nodes=8)
                  for _ in range(60)]
     for m in automata:
-        closures = {n: tau_closure(m, n) for n in set(m.nodes)}
-        dest_closure = {d: tau_closure(m, d) for _, _, d in m.edges}
+        closures = {n: tau_closure(m, n).members for n in set(m.nodes)}
+        dest_closure = {d: tau_closure(m, d).members for _, _, d in m.edges}
         actions = {a for _, a, _ in m.edges if a != SILENT}
         kept = set()
         for n1 in set(m.nodes):
@@ -199,7 +215,7 @@ def test_closed_edges_match_the_candidate_product_filter():
                     if any(ea == a and s in src and dest_closure[d] == dst
                            for s, ea, d in m.edges):
                         kept.add((src, a, dst))
-        got = set(close_automaton(_closable(m)).edges)
+        got = set(closed_shape(close_automaton(_closable(m)))[1])
         assert got == kept
 
 
@@ -212,7 +228,7 @@ def test_close_keeps_nothing_on_its_input():
         before = Automaton(*m)
         first = close_automaton(m)
         assert m == before
-        assert close_automaton(m) == first
+        assert closed_shape(close_automaton(m)) == closed_shape(first)
 
 
 def test_tau_simulation_on_the_fixture(silent_fork):
@@ -278,7 +294,7 @@ def test_ranked_pass_keeps_the_canonical_orders():
         assert list(closed.edges) == sorted(
             closed.edges, key=lambda e: (members_key(e[0]), action_key(e[1]),
                                          members_key(e[2])))
-        assert closed.init == tau_closure(m, m.init)
+        assert closed.init.members == tau_closure(m, m.init).members
 
 
 def test_node_order_is_the_rendered_path_order():
