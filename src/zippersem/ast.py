@@ -59,13 +59,16 @@ class _Interning(type):
 
 
 class HashConsed(metaclass=_Interning):
-    """Base of every syntax node, path frame and cursor.
+    """Base of every syntax node and path frame.
 
     Evaluation walks one fixed syntax tree and the automata compare program
     points, positions in that tree, all the time.  Hash-consing (Filliâtre
     and Conchon, Type-Safe Modular Hash-Consing, 2006) makes structurally
     equal values one object, so equality is identity, hashing is O(1), and
-    a zipper step that rebuilds a parent gets the original node back.  An
+    a zipper step that rebuilds a parent gets the original node back.
+    These are the values whose structural equality would cost their depth.
+    A program point, zipper.Cursor, is a NamedTuple over interned fields,
+    which compares in O(1) without a table entry of its own.  An
     automaton edge's action is an Assign node itself, so actions compare
     and hash the same way.  The table of live values maps each key to a
     weak reference that carries the key, so dropping a program frees its
@@ -73,9 +76,8 @@ class HashConsed(metaclass=_Interning):
     Each concrete class subclasses this one directly and lists its fields
     in `__slots__`; this base adds only the weak reference slot, so a node
     holds its fields and nothing else, and has no `__dict__`.  Nodes are
-    immutable.  The node sets of closed automata are not interned:
-    close_automaton builds each one once, so a table entry would only
-    cost.
+    immutable.  Cursors and the node sets of closed automata are not
+    interned: a table entry would only cost.
     """
 
     __slots__ = ("__weakref__",)

@@ -102,8 +102,10 @@ def cmd_run(args):
 def cmd_compile(args):
     aut = program_automaton(_read_program(args.file))
     if args.format == "dot":
-        label = ((lambda n, i: f"{i}: {formats.render_node(n)}")
-                 if args.numbered else None)
+        label = None
+        if args.numbered:
+            node_label = formats.node_label(aut.nodes)
+            label = lambda n, i: f"{i}: {node_label(n)}"
         text = formats.automaton_dot(aut, label)
     elif args.numbered:
         text = formats.generic_automaton_json_text(aut)

@@ -7,18 +7,21 @@ shape; the shapes differ only in their node lists.  JSON node ids and DOT
 node names are positions in the node list, so exports are deterministic
 and re-import as the position-renamed automaton.
 
-An automaton's edges are plain (source, action, dest) tuples.  JSON text
-is written straight from the automaton or trace with fixed row templates,
-in the bytes of json.dumps with indent=2, sorted keys and non-ASCII kept,
-plus a newline.  Template keys are in sorted order, strings go through
-the C string encoder, and ints and bools are written directly.  A
-compiled program's node list is written from texts built once each: a
-subterm's escaped text from its children's, a path's from its parent's.
-They go into the output's one join by reference, since two cursors
-share each focus and path, so compiling costs time in the output's
-size, not a walk per node.  The two
-dict-valued functions are those texts parsed back, for the benchmark's
-own tests.
+An automaton's edges are plain (source, action, dest) tuples, and a
+compiled automaton's nodes are cursors, NamedTuples over interned
+fields.  JSON text is written straight from the automaton or trace with
+fixed row templates, in the bytes of json.dumps with indent=2, sorted
+keys and non-ASCII kept, plus a newline.  Template keys are in sorted
+order, strings go through the C string encoder, and ints and bools are
+written directly.  Each edge action's text is put into a row template
+once, so an edge formats only its two ids.  A compiled program's node
+list is written from texts built once each: a subterm's escaped text
+from its children's, a path's from its parent's.  They go into the
+output's one join by reference, since two cursors share each focus and
+path, so compiling costs time in the output's size, not a walk per
+node.  Cursor labels, in `compile --numbered` and DOT, take the same
+path texts.  The two dict-valued functions are those texts parsed back,
+for the benchmark's own tests.
 """
 
 import json
@@ -92,11 +95,29 @@ def render_node(n) -> str:
     return str(n)
 
 
+_ARROW = {True: " ↓", False: " ↑"}
+
+
+def node_label(nodes):
+    """render_node, for the given nodes.  A cursor's label is its path's
+    text and its arrow, and path_texts builds each path's text once, from
+    its parent's, rather than walking up the path for every cursor."""
+    paths = path_texts(n.path for n in nodes if isinstance(n, Cursor))
+
+    def label(n) -> str:
+        if isinstance(n, Cursor):
+            return paths[n.path] + _ARROW[n.entering]
+        return render_node(n)
+    return label
+
+
 def _node_ids(aut: Automaton) -> dict:
     return {n: i for i, n in enumerate(dict.fromkeys(aut.nodes))}
 
 
-_EDGE_ROW = '{\n      "action": %s,\n      "dest": %d,\n      "source": %d\n    }'
+# an edge's row: its action's text goes first, then its two ids
+_EDGE_HEAD = '{\n      "action": '
+_EDGE_IDS = ',\n      "dest": %d,\n      "source": %d\n    }'
 
 
 def automaton_json_text(aut: Automaton, node_list) -> str:
@@ -105,19 +126,14 @@ def automaton_json_text(aut: Automaton, node_list) -> str:
     node list from the ids of the distinct nodes, as pieces of the text:
     brackets at two spaces, each node's fields at six."""
     ids = _node_ids(aut)
-    # edges share a few actions, each rendered once
-    actions = {a: _action_text(a) for a in {a for _, a, _ in aut.edges}}
-    edges = [_EDGE_ROW % (actions[a], ids[dest], ids[source])
-             for source, a, dest in aut.edges]
+    # edges share a few actions: one row template each, with the action's
+    # text in place, so an edge formats only its ids
+    rows = {a: _EDGE_HEAD + _action_text(a).replace("%", "%%") + _EDGE_IDS
+            for a in {a for _, a, _ in aut.edges}}
+    edges = [rows[a] % (ids[dest], ids[source]) for source, a, dest in aut.edges]
     return "".join(['{\n  "edges": ', *_rows(edges, "  "),
                     ',\n  "init": %d,\n  "nodes": ' % ids[aut.init],
                     *node_list(ids), "\n}\n"])
-
-
-def _node_rows(node_row):
-    """The node_list of string rows: node_row(n, i) gives the object of
-    node n with id i, closing brace at four spaces."""
-    return lambda ids: _rows([node_row(n, i) for n, i in ids.items()], "  ")
 
 
 def _escaped(s: str) -> str:
@@ -209,18 +225,40 @@ def closed_automaton_json_text(base: Automaton, closed: Automaton) -> str:
     """JSON text for a closed automaton; members are base node ids, of
     which every closed node has at least one."""
     members = _member_ids(base)
-    return automaton_json_text(closed, _node_rows(lambda n, i: "".join((
-        _CLOSED_HEAD % i, _MEMBER_SEP.join(map(str, members(n))),
-        _CLOSED_TAIL))))
+    return automaton_json_text(closed, lambda ids: _rows([
+        "".join((_CLOSED_HEAD % i, _MEMBER_SEP.join(map(str, members(n))),
+                 _CLOSED_TAIL)) for n, i in ids.items()], "  "))
 
 
-_GENERIC_NODE_ROW = '{\n      "id": %d,\n      "label": %s\n    }'
+# a labelled node in pieces: the head, which carries the separator from
+# the node before, the label's JSON string, the tail
+_GENERIC_HEAD = ',\n    {\n      "id": %d,\n      "label": '
+_GENERIC_TAIL = '\n    }'
+
+
+def _generic_node_list(ids: dict) -> list:
+    """The node list of labelled nodes.  A cursor's label goes in as its
+    path text, shared by reference with the cursor of the other flag,
+    and its arrow, neither of which needs escaping."""
+    if not ids:
+        return ["[]"]
+    paths = path_texts(n.path for n in ids if isinstance(n, Cursor))
+    pieces = []
+    for n, i in ids.items():
+        if isinstance(n, Cursor):
+            pieces += (_GENERIC_HEAD % i + '"', paths[n.path],
+                       _ARROW[n.entering] + '"' + _GENERIC_TAIL)
+        else:
+            pieces += (_GENERIC_HEAD % i, encode_basestring(render_node(n)),
+                       _GENERIC_TAIL)
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n  ]")
+    return pieces
 
 
 def generic_automaton_json_text(aut: Automaton) -> str:
     """JSON text for an automaton over plain (typically int) nodes."""
-    return automaton_json_text(aut, _node_rows(lambda n, i: _GENERIC_NODE_ROW % (
-        i, encode_basestring(render_node(n)))))
+    return automaton_json_text(aut, _generic_node_list)
 
 
 def program_automaton_json(aut: Automaton) -> dict:
@@ -289,16 +327,18 @@ def automaton_dot(aut: Automaton, label=None) -> str:
     each node's label, by default its rendering.  The initial node is
     marked by a point-shaped source."""
     ids = _node_ids(aut)
-    lines = ["digraph automaton {", "  rankdir=LR;", "  __init [shape=point];"]
+    if label is None:
+        default = node_label(ids)
+        label = lambda n, i: default(n)
+    lines = ["digraph automaton {\n  rankdir=LR;\n  __init [shape=point];\n"]
     for n, i in ids.items():
-        text = label(n, i) if label is not None else render_node(n)
-        lines.append(f"  n{i} [label={_quote(text)}];")
-    lines.append(f"  __init -> n{ids[aut.init]};")
+        lines.append(f"  n{i} [label={_quote(label(n, i))}];\n")
+    lines.append(f"  __init -> n{ids[aut.init]};\n")
     for s, a, d in aut.edges:
         lines.append(f"  n{ids[s]} -> n{ids[d]}"
-                     f" [label={_quote(render_action(a))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                     f" [label={_quote(render_action(a))}];\n")
+    lines.append("}\n")
+    return "".join(lines)
 
 
 def closed_automaton_dot(base: Automaton, closed: Automaton) -> str:

@@ -10,23 +10,29 @@ by check_tau_simulation.
 
 close_automaton is the one route to the closure sets, and its cost is
 near-linear in its output.  It ranks the distinct nodes once in canonical
-order; cursors are ranked by path_ranks, so no path is rendered.  One
-walk over the edges collects the silent successors and the witnessed
-edges.  One search over the silent edges then completes their strongly
-connected components (Tarjan, SIAM J. Comput. 1972), in reverse
-topological order, and builds each component's closure as it completes,
-from the closures of its successors (Nuutila, Efficient Transitive
-Closure Computation in Large Digraphs, 1995).  Each component's closure
-is one closed node.  Numbered in sorted order, these closure ids key the
-closed edges, which are deduplicated and sorted as integers.  The paper's
+order; cursors, NamedTuples over interned fields, are ranked by
+path_ranks, so no path is rendered.  One walk over the edges collects
+the silent successors and the witnessed edges.  One search over the
+silent edges then completes their strongly connected components (Tarjan,
+SIAM J. Comput. 1972), in reverse topological order, and builds each
+component's closure as it completes, from the closures of its successors
+(Nuutila, Efficient Transitive Closure Computation in Large Digraphs,
+1995); a node without silent edges, or a single node with one, needs no
+search state or sort.  Each component's closure is one closed node, and
+one list indexed by rank gives each node's.  Numbered in sorted order,
+these closure ids key the closed edges, which are deduplicated and sorted
+as integers.  The paper's
 fixpoint definition, a breadth-first search and the rendered sort key
 live in the tests as oracles, which pin this route against them.
 
 check_tau_simulation closes its input itself, so the closure it checks
 is the one close_automaton computes, and `zippersem check tausim` closes
-at most once.
+at most once.  It matches an edge by one set lookup of the closed edge
+to its destination's closed node, and groups the closed edges by action
+only when a lookup misses.
 """
 
+from bisect import bisect_left
 from functools import cache
 from typing import NamedTuple
 
@@ -92,18 +98,22 @@ def _closures(succ):
     """Silent reachability of the graph i -> succ[i], one closure per
     strongly connected component, in one iterative Tarjan search.
 
-    The search completes components in reverse topological order, so when
-    it pops a component, every component that one reaches is complete, and
-    its closure is built there and then: its members plus the closures of
-    its successor components.  A component with at most one successor
-    component takes its members plus that closure as they are, since no
-    member can be in a successor's closure without sharing its component.
-    Otherwise the successors are taken in topological order into a reach
-    set, and one whose first member the set already holds is skipped,
-    since its whole closure is in there too.  Returns (component per
-    vertex, closure of each component as a sorted tuple of vertices,
-    successor components each closure was built from), with components
-    numbered in completion order.
+    A vertex with no successor is its own component and closure, and
+    never enters the search.  The search completes the other components
+    in reverse topological order, so when it pops a component, every
+    component that one reaches is complete, and its closure is built
+    there and then: its members plus the closures of its successor
+    components.  A single vertex whose one edge leads to another
+    component takes that closure with itself inserted in order.  A
+    component with at most one successor component takes its members
+    plus that closure as they are, since no member can be in a
+    successor's closure without sharing its component.  Otherwise the
+    successors are taken in topological order into a reach set, and one
+    whose first member the set already holds is skipped, since its whole
+    closure is in there too.  Returns (component per vertex, closure of
+    each component as a sorted tuple of vertices, successor components
+    each closure was built from), with components numbered in completion
+    order.
     """
     n = len(succ)
     index = [-1] * n
@@ -113,6 +123,13 @@ def _closures(succ):
     first = []              # each component's first member
     closures = []
     parts = []
+    for v in range(n):
+        if not succ[v]:     # a sink, complete before the search starts
+            index[v] = 0
+            comp[v] = len(first)
+            first.append(v)
+            closures.append((v,))
+            parts.append(())
     counter = 0
     for root in range(n):
         if index[root] >= 0:
@@ -136,32 +153,47 @@ def _closures(succ):
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    c = len(first)
-                    members = []
-                    w = None
-                    while w != v:
-                        w = stack.pop()
-                        comp[w] = c
-                        members.append(w)
-                    first.append(members[0])
-                    after = {comp[j] for i in members for j in succ[i]} - {c}
-                    if len(after) > 1:
-                        reach = set(members)
-                        took = []
-                        for d in sorted(after, reverse=True):
-                            if first[d] not in reach:
-                                reach.update(closures[d])
-                                took.append(d)
-                        members = reach
+                if low[v] != index[v]:
+                    continue
+                c = len(first)
+                if stack[-1] == v and len(succ[v]) == 1:
+                    stack.pop()
+                    comp[v] = c
+                    first.append(v)
+                    d = comp[succ[v][0]]
+                    if d == c:      # a silent self-loop
+                        closures.append((v,))
+                        parts.append(())
                     else:
-                        # no member is in the successor's closure, or it
-                        # would share that component: no set is needed
-                        took = list(after)
-                        for d in took:
-                            members += closures[d]
-                    closures.append(tuple(sorted(members)))
-                    parts.append(took)
+                        after = closures[d]
+                        i = bisect_left(after, v)
+                        closures.append(after[:i] + (v,) + after[i:])
+                        parts.append((d,))
+                    continue
+                members = []
+                w = None
+                while w != v:
+                    w = stack.pop()
+                    comp[w] = c
+                    members.append(w)
+                first.append(members[0])
+                after = {comp[j] for i in members for j in succ[i]} - {c}
+                if len(after) > 1:
+                    reach = set(members)
+                    took = []
+                    for d in sorted(after, reverse=True):
+                        if first[d] not in reach:
+                            reach.update(closures[d])
+                            took.append(d)
+                    members = reach
+                else:
+                    # no member is in the successor's closure, or it
+                    # would share that component: no set is needed
+                    took = list(after)
+                    for d in took:
+                        members += closures[d]
+                closures.append(tuple(sorted(members)))
+                parts.append(took)
     return comp, closures, parts
 
 
@@ -208,7 +240,8 @@ def close_automaton(aut: Automaton) -> Automaton:
     for i, c in enumerate(order):
         cid[c] = i
     sets = [NodeSet(tuple(map(ranked.__getitem__, closures[c]))) for c in order]
-    nodes = tuple(sets[cid[comp[rank[n]]]] for n in aut.nodes)
+    closed = [sets[cid[c]] for c in comp]       # closed node of each rank
+    nodes = tuple(closed[rank[n]] for n in aut.nodes)
     actions = sorted({a for _, a, _ in witnessed}, key=action_key)
     action_id = {a: i for i, a in enumerate(actions)}
     # a closed edge from a component is the integer action id * k +
@@ -224,7 +257,7 @@ def close_automaton(aut: Automaton) -> Automaton:
     for c in order:
         src = sets[cid[c]]
         edges += [(src, actions[t // k], sets[t % k]) for t in sorted(out[c])]
-    return Automaton(nodes, tuple(edges), sets[cid[comp[rank[aut.init]]]])
+    return Automaton(nodes, tuple(edges), closed[rank[aut.init]])
 
 
 class TauSimReport(NamedTuple):
@@ -253,11 +286,13 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
 
     The check is that definition's scan: over each distinct S, its members
     in order and each member's edges in edge order, so the first violation
-    it meets is the one reported.  The closed edges are grouped by source
-    and then by action into sets of destinations.  A silent edge s -> d
-    stays when d is in S.  A non-silent edge s -a-> d is matched at once
-    when d's own closed node is among S's a-destinations and holds d, as
-    it does in a closure; otherwise those are searched for one holding d.
+    it meets is the one reported.  A silent edge s -> d stays when d is in
+    S.  A non-silent edge s -a-> d is matched by one set lookup when
+    S -a-> D is a closed edge for D, the closed node of d, and D holds d,
+    as it does in a closure.  Only at the first edge that is not are the
+    closed edges grouped by source and then by action; that edge and
+    every later one the lookup misses are matched by a search of S's
+    a-destinations for one holding d.
     """
     if m.init not in m.nodes:
         return TauSimReport(0, (m.init, None, None,
@@ -267,10 +302,9 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
     m_out = {}
     for e in m.edges:
         m_out.setdefault(e[0], []).append(e)
-    mc_out = {}         # closed node -> action -> destinations
-    for src, a2, d2 in mc.edges:
-        mc_out.setdefault(src, {}).setdefault(a2, set()).add(d2)
-    # the member set of each destination closed node tested, built once
+    closed_edges = set(mc.edges)
+    mc_out = None       # closed node -> action -> destinations
+    # the member set of each destination closed node searched, built once
     members_of = cache(lambda s2: set(s2.members))
     checked = 0
     for s2 in dict.fromkeys(mc.nodes):
@@ -278,17 +312,23 @@ def check_tau_simulation(m: Automaton) -> TauSimReport:
         # kept for every closed node at once nearly tripled peak memory on
         # a 2000-statement chain
         inside = set(s2.members)
-        out = mc_out.get(s2, {})
         for s1 in s2.members:
             checked += 1
             for e in m_out.get(s1, ()):
                 _, a, d = e
-                if a is SILENT and d in inside:
-                    continue
-                dests = out.get(a)
-                if dests and (closed_of.get(d) in dests
-                              and d in members_of(closed_of[d])
-                              or any(d in members_of(d2) for d2 in dests)):
+                if a is SILENT:
+                    if d in inside:
+                        continue
+                else:
+                    d2 = closed_of.get(d)
+                    if (s2, a, d2) in closed_edges and d in members_of(d2):
+                        continue
+                if mc_out is None:
+                    mc_out = {}
+                    for src, a2, d2 in mc.edges:
+                        mc_out.setdefault(src, {}).setdefault(a2, []).append(d2)
+                if any(d in members_of(d2)
+                       for d2 in mc_out.get(s2, {}).get(a, ())):
                     continue
                 return TauSimReport(checked, (s1, s2, e, "unmatched edge"))
     return TauSimReport(checked)

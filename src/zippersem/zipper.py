@@ -6,7 +6,14 @@ the original tree is a fold over that chain.  A Cursor is a program point:
 a focus, its path and a direction flag, where entering means the focus is
 about to run and leaving means it just finished.  Cursors are the nodes of
 the compiled automata and the positions of the semantics.
+
+Path frames are hash-consed like syntax nodes, since comparing two paths
+by structure would cost their depth.  A Cursor is a plain NamedTuple over
+its interned fields: comparing and hashing it touches three fields, each
+compared by identity, so it needs no interning of its own.
 """
+
+from typing import NamedTuple
 
 from .ast import Cond, HashConsed, Seq, Stmt, While
 
@@ -46,13 +53,15 @@ Path = Top | SeqLeft | SeqRight | CondThen | CondElse | WhileBody
 TOP = Top()
 
 
-class Cursor(HashConsed):
+class Cursor(NamedTuple):
     """A program point: a focus, its path and a direction flag.
 
     entering=True sits just before the focus runs, entering=False just
     after it finished.
     """
-    __slots__ = ("focus", "path", "entering")
+    focus: Stmt
+    path: Path
+    entering: bool
 
 
 def all_locations(c: Stmt) -> list[tuple[Stmt, Path]]:

@@ -1,4 +1,4 @@
-"""Parser, printer, subterm counting and hash-consed nodes."""
+"""Parser, printer, subterm counting, hash-consed nodes and cursors."""
 
 import gc
 import random
@@ -15,7 +15,7 @@ from zippersem.automaton import check_simulation, program_automaton
 from zippersem.semantics import run_trace
 from zippersem.tauclose import NodeSet, close_automaton
 from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, Path, SeqLeft,
-                              SeqRight, Top, WhileBody)
+                              SeqRight, Top, WhileBody, all_locations)
 
 LOOP_SRC = "while (e) { x := true; y := false }"
 
@@ -175,6 +175,19 @@ def test_equal_nodes_are_one_object():
     assert Seq.__eq__ is object.__eq__ and Seq.__hash__ is object.__hash__
 
 
+def test_equal_cursors_built_apart_are_equal_and_hash_equal():
+    # a cursor is not interned: two builds are two tuples over the same
+    # interned fields, so they compare and hash by those fields' identity
+    deep = parse_program("while (a) { " * 3000 + "x := true" + " }" * 3000)
+    first, second = program_automaton(deep).nodes[-2:]
+    again = Cursor(first.focus, first.path, True)
+    assert again is not first and again == first
+    assert hash(again) == hash(first)
+    assert len({first, again, second}) == 2
+    assert again != second and again != Cursor(first.focus, TOP, True)
+    assert first.path is program_automaton(deep).nodes[-2].path
+
+
 def test_repr_is_the_dataclass_repr():
     assert repr(Cond(Var("b"), Seq(Skip(), Assign("x", NULL)),
                      While(Lit(TRUE), Skip()))) == (
@@ -218,13 +231,17 @@ def test_nodes_hold_their_fields_only_and_the_unions_name_their_classes():
                WhileBody(x, TOP)],
     }
     interned = [n for members in unions.values() for n in members]
-    interned.append(Cursor(body, TOP, True))
-    nodes = interned + [NodeSet((1, 2))]
+    cursor = Cursor(body, TOP, True)
+    nodes = interned + [cursor, NodeSet((1, 2))]
     for n in nodes:
         assert not hasattr(n, "__dict__"), type(n).__name__
-    # one node of every interned class; node sets are not interned
+    # one node of every interned class: syntax nodes and path frames;
+    # a cursor is a named tuple of its fields, and node sets are plain
     assert {type(n) for n in interned} == set(HashConsed.__subclasses__())
+    assert not isinstance(cursor, HashConsed)
     assert not isinstance(nodes[-1], HashConsed)
+    assert Cursor._fields == ("focus", "path", "entering")
+    assert tuple(cursor) == (body, TOP, True)
     for union, members in unions.items():
         for n in nodes:
             assert isinstance(n, union) == (n in members), (union, n)
@@ -243,12 +260,19 @@ def test_dropped_programs_leave_no_live_nodes():
         trace = run_trace(c, {}, 5000)
         report = check_simulation(c, {}, 5000)
         assert report.ok and len(aut.nodes) == 4000
-        assert len(HashConsed._live) > before + 4000
-        del c, aut, trace, report
+        # the table holds the program's statements, its loop test and the
+        # path frames of its locations, and nothing for its cursors
+        locs = all_locations(c)
+        own = ({f for f, _ in locs} | {p for _, p in locs if p is not TOP}
+               | {f.test for f, _ in locs if isinstance(f, While)})
+        assert len(own) == 2000 + 1999 + 1
+        assert len(HashConsed._live) == before + len(own)
+        del c, aut, trace, report, locs, own
         gc.collect()
         assert len(HashConsed._live) == before
-    closed = close_automaton(program_automaton(parse_program("x := true")))
-    assert len(closed.nodes) == 2 and len(HashConsed._live) > before
+    # only the closed program's one statement enters the table
+    closed = close_automaton(program_automaton(parse_program("w0 := true")))
+    assert len(closed.nodes) == 2 and len(HashConsed._live) == before + 1
     del closed
     gc.collect()
     assert len(HashConsed._live) == before

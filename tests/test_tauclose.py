@@ -12,8 +12,9 @@ from zippersem.ast import TRUE, Assign, parse_program
 from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
 from zippersem.formats import render_node
-from zippersem.tauclose import (NodeSet, action_key, check_tau_simulation,
-                                close_automaton, node_order)
+from zippersem.tauclose import (NodeSet, TauSimReport, action_key,
+                                check_tau_simulation, close_automaton,
+                                node_order)
 
 ALPHA = Assign("a", TRUE)
 BETA = Assign("b", TRUE)
@@ -168,6 +169,58 @@ def test_three_way_agreement_on_random_automata():
                 closure_bfs(m, n).members == via_bulk.members
         assert closed.init.members == tau_closure(m, m.init).members == \
             closure_bfs(m, m.init).members
+
+
+def test_closure_shortcuts_agree_with_the_oracles():
+    # each vertex's silent successors, and its closure:
+    succ = [
+        [],         # 0: a sink, its own closure without the search
+        [3],        # 1: one edge, into the middle of (0, 3)
+        [2],        # 2: a silent self-loop and nothing else
+        [0],        # 3: one edge to a closure that starts below it
+        [5],        # 4: one edge to a closure that starts above it
+        [],         # 5: a sink
+        [6, 0],     # 6: a self-loop and one more edge, the general case
+        [8],        # 7: a 2-cycle with 8
+        [7],        # 8
+        [7],        # 9: one edge into the 2-cycle's closure
+    ]
+    expected = [(0,), (0, 1, 3), (2,), (0, 3), (4, 5), (5,), (0, 6), (7, 8),
+                (7, 8), (7, 8, 9)]
+    comp, closures, parts = tauclose._closures(succ)
+    assert [closures[comp[v]] for v in range(len(succ))] == expected
+    # the single-edge vertices take their successor's closure as built
+    assert [parts[comp[v]] for v in (0, 1, 2, 3, 4, 9)] == [
+        (), (comp[3],), (), (comp[0],), (comp[5],), (comp[7],)]
+    # components complete after every component they reach
+    assert all(d < c for c, took in enumerate(parts) for d in took)
+    m = Automaton(tuple(range(len(succ))),
+                  tuple((v, SILENT, w) for v, ws in enumerate(succ) for w in ws),
+                  0)
+    for v, closed in zip(m.nodes, close_automaton(m).nodes):
+        assert closed.members == tau_closure(m, v).members == \
+            closure_bfs(m, v).members == expected[v]
+
+
+def test_closures_of_sparse_silent_graphs_agree_with_the_oracles():
+    # mostly sinks, self-loops and single silent edges, in both directions
+    # of the rank order, so that every shortcut meets every other
+    rng = random.Random(36)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        edges = []
+        for v in range(n):
+            for _ in range(rng.choice([0, 0, 1, 1, 1, 2])):
+                edges.append((v, SILENT, rng.choice([v, rng.randrange(n)])))
+            if rng.random() < 0.3:
+                edges.append((v, ALPHA, rng.randrange(n)))
+        rng.shuffle(edges)
+        m = Automaton(tuple(range(n)), tuple(edges), 0)
+        closed = close_automaton(m)
+        for v, ns in zip(m.nodes, closed.nodes):
+            assert ns.members == tau_closure(m, v).members == \
+                closure_bfs(m, v).members
+        assert check_tau_simulation(m).ok
 
 
 def test_closure_step_is_monotone_and_extensive():
@@ -378,3 +431,31 @@ def test_witness_check_reports_as_the_scan_does(monkeypatch):
         assert report == tau_simulation_scan(m, mc)
         failing += not report.ok
     assert failing > 100
+
+
+def test_witness_check_searches_the_closed_edges_only_on_a_miss(monkeypatch):
+    # a closure whose edges lead to a larger closed node that holds each
+    # destination, not to the destination's own closed node: the one
+    # lookup misses, and the search by action must still match
+    m = Automaton((1, 2, 3, 4), ((1, ALPHA, 3), (2, SILENT, 3), (4, BETA, 3)),
+                  1)
+    a, b, c, d = (NodeSet((1,)), NodeSet((2, 3)), NodeSet((3,)),
+                  NodeSet((4,)))
+    assert closed_shape(close_automaton(m)) == closed_shape(Automaton(
+        (a, b, c, d), ((a, ALPHA, c), (d, BETA, c)), a))
+    mc = Automaton((a, b, c, d), ((a, ALPHA, b), (d, BETA, b)), a)
+    monkeypatch.setattr(tauclose, "close_automaton", lambda aut: mc)
+    report = check_tau_simulation(m)
+    assert report == tau_simulation_scan(m, mc) == TauSimReport(5)
+    # without the edge that matched the later miss
+    fewer = mc._replace(edges=mc.edges[:1])
+    monkeypatch.setattr(tauclose, "close_automaton", lambda aut: fewer)
+    report = check_tau_simulation(m)
+    assert report == tau_simulation_scan(m, fewer)
+    assert report.violation == (4, d, (4, BETA, 3), "unmatched edge")
+    # without the edge that matched the first miss
+    fewer = mc._replace(edges=mc.edges[1:])
+    monkeypatch.setattr(tauclose, "close_automaton", lambda aut: fewer)
+    report = check_tau_simulation(m)
+    assert report == tau_simulation_scan(m, fewer)
+    assert report.violation == (1, a, (1, ALPHA, 3), "unmatched edge")

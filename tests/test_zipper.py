@@ -122,8 +122,8 @@ def _live_by_type():
     return counts
 
 
-def test_compile_adds_one_object_per_program_point():
-    # names no other test uses, so no frame or cursor of it is live yet
+def test_compile_interns_its_path_frames_and_no_program_point():
+    # names no other test uses, so no frame of it is live yet
     c = parse_program(
         "while (q1) { r1 := true; if (q2) { r2 := false } else { skip } }")
     gc.collect()
@@ -131,21 +131,24 @@ def test_compile_adds_one_object_per_program_point():
     aut = program_automaton(c)
     after = _live_by_type()
     locs = all_locations(c)
-    expected = Counter({Cursor: 2 * len(locs)})
-    expected.update(type(path) for _, path in locs if path is not TOP)
-    assert sum(expected.values()) == 2 * 6 + 5
+    expected = Counter(type(path) for _, path in locs if path is not TOP)
+    assert sum(expected.values()) == 5
     assert {t: after[t] - before[t] for t in after | before
             if after[t] != before[t]} == expected
-    assert len(aut.nodes) == 2 * len(locs)
+    assert len(set(aut.nodes)) == len(aut.nodes) == 2 * len(locs)
+    assert all(type(n) is Cursor for n in aut.nodes)
 
 
-def test_compile_tracks_under_four_objects_per_interned_node():
-    # each new node is itself, its key tuple and the weak reference that
-    # holds the key; the automaton's node list and edges add the rest
-    src = "; ".join(f"t{i} := true" for i in range(2000))
+def test_compile_tracks_under_five_objects_per_node():
+    # each path frame is itself, its key tuple and the weak reference that
+    # holds the key; each cursor is one tuple, and each edge another tuple
+    # with a fresh destination cursor
+    c = parse_program("; ".join(f"t{i} := true" for i in range(2000)))
     gc.collect()
-    objects, live = len(gc.get_objects()), len(HashConsed._live)
-    aut = program_automaton(parse_program(src))
-    added = len(HashConsed._live) - live
-    assert len(aut.nodes) == 7998
-    assert len(gc.get_objects()) - objects < 4 * added
+    objects = len(gc.get_objects())
+    aut = program_automaton(c)
+    # counts only: a failing assertion over these cursors would print
+    # every focus whole
+    nodes, added = len(aut.nodes), len(gc.get_objects()) - objects
+    assert nodes == 7998
+    assert added < 5 * nodes
