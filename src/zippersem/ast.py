@@ -190,37 +190,41 @@ def parse_value_literal(s: str) -> Value:
     raise ValueError(f"expected one of true, false, null: {brief_repr(s)}")
 
 
-def print_expr(e: Expr) -> str:
+def print_expr(e: Expr, name=str) -> str:
     if isinstance(e, Lit):
         return value_literal(e.value)
     if isinstance(e, Var):
-        return e.name
+        return name(e.name)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def print_program(c: Stmt) -> str:
+def print_program(c: Stmt, texts=(), name=str) -> str:
     """Render a statement in canonical single-line concrete syntax.
 
     Total on all ASTs.  A Seq nested on the left has no source form in the
     grammar, so its rendering re-parses right-nested; everything the parser
-    can produce round-trips to an equal tree.
+    can produce round-trips to an equal tree.  A subterm found in `texts`
+    prints as its text there, so that texts built children first are each
+    one join of their children's, and `name` prints each variable name.
     """
     out, stack = [], [c]
     while stack:
         c = stack.pop()
         if isinstance(c, str):
             out.append(c)
+        elif c in texts:
+            out.append(texts[c])
         elif isinstance(c, Skip):
             out.append("skip")
         elif isinstance(c, Assign):
-            out.append(f"{c.name} := {value_literal(c.value)}")
+            out.append(f"{name(c.name)} := {value_literal(c.value)}")
         elif isinstance(c, Seq):
             stack += [c.second, "; ", c.first]
         elif isinstance(c, Cond):
             stack += [" }", c.else_branch, " } else { ", c.then_branch,
-                      f"if ({print_expr(c.test)}) {{ "]
+                      f"if ({print_expr(c.test, name)}) {{ "]
         elif isinstance(c, While):
-            stack += [" }", c.body, f"while ({print_expr(c.test)}) {{ "]
+            stack += [" }", c.body, f"while ({print_expr(c.test, name)}) {{ "]
         else:
             raise TypeError(f"not a statement: {c!r}")
     return "".join(out)

@@ -13,40 +13,37 @@ fields.  JSON text is written straight from the automaton or trace with
 fixed row templates, in the bytes of json.dumps with indent=2, sorted
 keys and non-ASCII kept, plus a newline.  Template keys are in sorted
 order, strings go through the C string encoder, and ints and bools are
-written directly.  Each edge action's text is put into a row template
-once, so an edge formats only its two ids.  A compiled program's node
-list is written from texts built once each: a subterm's escaped text
+written directly.  Every item of a JSON list starts with its own comma
+and line break, and _list frames the list, so a whole text is one join.
+Each edge action's text is put into a row template once, so an edge
+formats only its two ids.  A compiled program's node list is written
+from texts built once each: a subterm's escaped text by print_program
 from its children's, a path's from its parent's.  They go into the
 output's one join by reference, since two cursors share each focus and
 path, so compiling costs time in the output's size, not a walk per
 node.  Cursor labels, in `compile --numbered` and DOT, take the same
-path texts.  The two dict-valued functions are those texts parsed back,
-for the benchmark's own tests.
+path texts.
 """
 
 import json
 from functools import cache
 from json.encoder import encode_basestring
 
-from .ast import (Assign, Cond, Seq, Skip, While, brief_repr, is_valid_name,
-                  parse_value_literal, print_expr, print_program,
-                  value_literal)
+from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
+                  print_program, value_literal)
 from .automaton import SILENT, Automaton, render_action
 from .semantics import Trace
 from .tauclose import NodeSet
-from .zipper import Cursor, path_texts, render_cursor, render_path
+from .zipper import Cursor, path_texts, render_path
 
 
-def _rows(items: list, indent: str) -> list:
-    """A JSON list of pre-rendered items, as pieces for the one join of a
-    whole text: its brackets sit at indent and each item starts two
-    spaces deeper.  A single join copies a large output once."""
-    if not items:
+def _list(pieces: list, indent: str) -> list:
+    """A JSON list, as pieces for the one join of a whole text, from its
+    items' pieces, where each item's first piece starts with its comma
+    and line break: the brackets sit at indent."""
+    if not pieces:
         return ["[]"]
-    inner = "\n  " + indent
-    pieces = ["," + inner] * (2 * len(items))
-    pieces[0] = "[" + inner
-    pieces[1::2] = items
+    pieces[0] = "[" + pieces[0][1:]
     pieces.append("\n" + indent + "]")
     return pieces
 
@@ -87,15 +84,15 @@ def _action(obj, built: dict):
         return action_from_json(obj)
 
 
+_ARROW = {True: " ↓", False: " ↑"}
+
+
 def render_node(n) -> str:
     if isinstance(n, Cursor):
-        return render_cursor(n)
+        return render_path(n.path) + _ARROW[n.entering]
     if isinstance(n, NodeSet):
         return "{" + ", ".join(render_node(m) for m in n.members) + "}"
     return str(n)
-
-
-_ARROW = {True: " ↓", False: " ↑"}
 
 
 def node_label(nodes):
@@ -115,8 +112,8 @@ def _node_ids(aut: Automaton) -> dict:
     return {n: i for i, n in enumerate(dict.fromkeys(aut.nodes))}
 
 
-# an edge's row: its action's text goes first, then its two ids
-_EDGE_HEAD = '{\n      "action": '
+# an edge's row: its separator and action's text go first, then its ids
+_EDGE_HEAD = ',\n    {\n      "action": '
 _EDGE_IDS = ',\n      "dest": %d,\n      "source": %d\n    }'
 
 
@@ -131,7 +128,7 @@ def automaton_json_text(aut: Automaton, node_list) -> str:
     rows = {a: _EDGE_HEAD + _action_text(a).replace("%", "%%") + _EDGE_IDS
             for a in {a for _, a, _ in aut.edges}}
     edges = [rows[a] % (ids[dest], ids[source]) for source, a, dest in aut.edges]
-    return "".join(['{\n  "edges": ', *_rows(edges, "  "),
+    return "".join(['{\n  "edges": ', *_list(edges, "  "),
                     ',\n  "init": %d,\n  "nodes": ' % ids[aut.init],
                     *node_list(ids), "\n}\n"])
 
@@ -139,45 +136,6 @@ def automaton_json_text(aut: Automaton, node_list) -> str:
 def _escaped(s: str) -> str:
     """s JSON-escaped, without its quotes."""
     return encode_basestring(s)[1:-1]
-
-
-def _statement_texts(foci) -> dict:
-    """The escaped print_program text of each statement in foci and of
-    its subterms, each built once from its children's texts, on an
-    explicit stack.  Escaping maps each character on its own, so escaped
-    parts concatenate to the escaped whole."""
-    text = {}
-    for root in foci:
-        stack = [root]
-        while stack:
-            c = stack[-1]
-            if c in text:
-                stack.pop()
-            elif isinstance(c, Skip):
-                text[c] = "skip"
-            elif isinstance(c, Assign):
-                text[c] = f"{_escaped(c.name)} := {value_literal(c.value)}"
-            elif isinstance(c, Seq):
-                if c.first in text and c.second in text:
-                    text[c] = f"{text[c.first]}; {text[c.second]}"
-                else:
-                    stack += (c.second, c.first)
-            elif isinstance(c, Cond):
-                if c.then_branch in text and c.else_branch in text:
-                    text[c] = (f"if ({_escaped(print_expr(c.test))}) "
-                               f"{{ {text[c.then_branch]} }} "
-                               f"else {{ {text[c.else_branch]} }}")
-                else:
-                    stack += (c.else_branch, c.then_branch)
-            elif isinstance(c, While):
-                if c.body in text:
-                    text[c] = (f"while ({_escaped(print_expr(c.test))}) "
-                               f"{{ {text[c.body]} }}")
-                else:
-                    stack.append(c.body)
-            else:
-                raise TypeError(f"not a statement: {c!r}")
-    return text
 
 
 # a program node in five pieces: the head, which carries the separator
@@ -190,18 +148,18 @@ _PROGRAM_TAIL = '"\n    }'
 
 
 def _program_node_list(ids: dict) -> list:
-    """The node list of cursors, which holds at least the initial one.
-    Two cursors share each focus and path, whose texts go into the one
-    join of the output by reference."""
-    focus = _statement_texts(n.focus for n in ids)
+    """The node list of cursors, which are in pre-order, so their foci in
+    reverse print children first.  Two cursors share each focus and path,
+    whose texts go into the one join of the output by reference."""
+    focus = {}
+    for c in dict.fromkeys(n.focus for n in reversed(ids)):
+        focus[c] = print_program(c, focus, _escaped)
     path = path_texts(n.path for n in ids)
     pieces = []
     for n, i in ids.items():
         pieces += (_ENTERING_HEAD if n.entering else _LEAVING_HEAD,
                    focus[n.focus], _PROGRAM_ID % i, path[n.path], _PROGRAM_TAIL)
-    pieces[0] = "[" + pieces[0][1:]
-    pieces.append("\n  ]")
-    return pieces
+    return _list(pieces, "  ")
 
 
 def program_automaton_json_text(aut: Automaton) -> str:
@@ -216,7 +174,7 @@ def _member_ids(base: Automaton):
 
 
 # a closed node's row: its member ids go between these in one join
-_CLOSED_HEAD = '{\n      "id": %d,\n      "members": [\n        '
+_CLOSED_HEAD = ',\n    {\n      "id": %d,\n      "members": [\n        '
 _MEMBER_SEP = ",\n        "
 _CLOSED_TAIL = '\n      ]\n    }'
 
@@ -225,7 +183,7 @@ def closed_automaton_json_text(base: Automaton, closed: Automaton) -> str:
     """JSON text for a closed automaton; members are base node ids, of
     which every closed node has at least one."""
     members = _member_ids(base)
-    return automaton_json_text(closed, lambda ids: _rows([
+    return automaton_json_text(closed, lambda ids: _list([
         "".join((_CLOSED_HEAD % i, _MEMBER_SEP.join(map(str, members(n))),
                  _CLOSED_TAIL)) for n, i in ids.items()], "  "))
 
@@ -240,8 +198,6 @@ def _generic_node_list(ids: dict) -> list:
     """The node list of labelled nodes.  A cursor's label goes in as its
     path text, shared by reference with the cursor of the other flag,
     and its arrow, neither of which needs escaping."""
-    if not ids:
-        return ["[]"]
     paths = path_texts(n.path for n in ids if isinstance(n, Cursor))
     pieces = []
     for n, i in ids.items():
@@ -251,9 +207,7 @@ def _generic_node_list(ids: dict) -> list:
         else:
             pieces += (_GENERIC_HEAD % i, encode_basestring(render_node(n)),
                        _GENERIC_TAIL)
-    pieces[0] = "[" + pieces[0][1:]
-    pieces.append("\n  ]")
-    return pieces
+    return _list(pieces, "  ")
 
 
 def generic_automaton_json_text(aut: Automaton) -> str:
@@ -262,10 +216,12 @@ def generic_automaton_json_text(aut: Automaton) -> str:
 
 
 def program_automaton_json(aut: Automaton) -> dict:
+    """The text parsed back; only the benchmark's own test reads it."""
     return json.loads(program_automaton_json_text(aut))
 
 
 def closed_automaton_json(base: Automaton, closed: Automaton) -> dict:
+    """The text parsed back; only the benchmark's own test reads it."""
     return json.loads(closed_automaton_json_text(base, closed))
 
 
@@ -358,7 +314,7 @@ def _trace_rows(trace: Trace):
         yield i, rule, cfg
 
 
-_TRACE_ROW = ('{\n    "flag": %s,\n    "path": %s,\n    "rule": %s,'
+_TRACE_ROW = (',\n  {\n    "flag": %s,\n    "path": %s,\n    "rule": %s,'
               '\n    "state": %s,\n    "step": %d\n  }')
 
 
@@ -385,7 +341,7 @@ def trace_json_text(trace: Trace) -> str:
         rows.append(_TRACE_ROW % ("true" if cur.entering else "false",
                                   path_text(cur.path),
                                   encode_basestring(rule), state_text, i))
-    return "".join([*_rows(rows, ""), "\n"])
+    return "".join([*_list(rows, ""), "\n"])
 
 
 def trace_text(trace: Trace) -> str:
@@ -399,4 +355,5 @@ def trace_text(trace: Trace) -> str:
             state = cfg.state
             state_text = render_state(state)
         lines.append(f"{i}: {rule} | {where(cfg.cursor)} | {state_text}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

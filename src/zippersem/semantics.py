@@ -99,6 +99,7 @@ class Trace(NamedTuple):
 
     @property
     def final(self) -> Config:
+        """The last configuration; only the benchmark's own test reads it."""
         return self.steps[-1][0] if self.steps else self.start
 
 

@@ -10,7 +10,9 @@ the compiled automata and the positions of the semantics.
 Path frames are hash-consed like syntax nodes, since comparing two paths
 by structure would cost their depth.  A Cursor is a plain NamedTuple over
 its interned fields: comparing and hashing it touches three fields, each
-compared by identity, so it needs no interning of its own.
+compared by identity, so it needs no interning of its own.  render_path
+prints a path, path_texts many paths, each text from its parent's, and
+formats prints a cursor as its path's text and an arrow.
 """
 
 from typing import NamedTuple
@@ -176,8 +178,3 @@ def path_ranks(paths) -> dict:
         order[t] = i
         stack += [kids[t][s] for s in sorted(kids[t], reverse=True)]
     return {p: order[t] for p, t in trie.items()}
-
-
-def render_cursor(cur: Cursor) -> str:
-    arrow = "↓" if cur.entering else "↑"
-    return f"{render_path(cur.path)} {arrow}"

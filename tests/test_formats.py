@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,17 +17,23 @@ from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
 from zippersem.automaton import (SILENT, Automaton, is_regular,
                                  program_automaton)
 from zippersem.formats import (action_from_json, automaton_dot,
-                               closed_automaton_dot, closed_automaton_json,
+                               closed_automaton_dot,
                                closed_automaton_json_text,
                                generic_automaton_json_text, load_automaton,
-                               program_automaton_json,
                                program_automaton_json_text, render_node,
                                render_state, trace_json_text, trace_text)
 from zippersem.semantics import run_trace
 from zippersem.tauclose import close_automaton
-from zippersem.zipper import render_path
+from zippersem.zipper import all_locations, render_path
 
 LOOP = parse_program("while (true) { x := true; y := false }")
+# a chain deeper than the default recursion limit, and names that JSON
+# escapes, each escaped apart from its neighbours
+CHAIN = parse_program("; ".join(f"x{i % 10} := true" for i in range(1100)))
+ODD = ['q"uote', "back\\slash", "bell\x07", "tab\t", "é\u2028✓", '\\"']
+HOSTILE = Seq(Assign(ODD[0], TRUE), Cond(
+    Var(ODD[1]), While(Var(ODD[2]), Seq(Assign(ODD[3], NULL), Skip())),
+    While(Lit(FALSE), Seq(Assign(ODD[4], FALSE), Assign(ODD[5], TRUE)))))
 
 
 def _canonical(text):
@@ -121,13 +128,14 @@ def test_action_json_roundtrip():
 def test_render_node_dispatch():
     aut = program_automaton(LOOP)
     assert render_node(aut.init) == "@top ↓"
+    assert render_node(aut.init._replace(entering=False)) == "@top ↑"
     assert render_node(node_set([2, 1])) == "{1, 2}"
     assert render_node(node_set([aut.init])) == "{@top ↓}"
     assert render_node(7) == "7"
 
 
 def test_program_automaton_json_shape():
-    data = program_automaton_json(program_automaton(LOOP))
+    data = json.loads(program_automaton_json_text(program_automaton(LOOP)))
     assert data["init"] == 0
     assert [n["id"] for n in data["nodes"]] == list(range(8))
     assert data["nodes"][0]["path"] == "@top"
@@ -139,28 +147,50 @@ def test_program_automaton_json_shape():
 
 
 def test_program_json_of_deep_and_hostile_programs():
-    # a chain and a nest deeper than the default recursion limit, and
-    # names that JSON escapes, each escaped apart from its neighbours
-    chain = parse_program("; ".join(f"x{i % 10} := true" for i in range(1100)))
+    # the chain, a nest deeper than the default recursion limit and the
+    # hostile names
     nest = parse_program("while (a) { " * 600 + "x := true"
                          + "; y := false }" * 600)
-    odd = ['q"uote', "back\\slash", "bell\x07", "tab\t", "é\u2028✓", '\\"']
-    hostile = Seq(Assign(odd[0], TRUE), Cond(
-        Var(odd[1]), While(Var(odd[2]), Seq(Assign(odd[3], NULL), Skip())),
-        While(Lit(FALSE), Seq(Assign(odd[4], FALSE), Assign(odd[5], TRUE)))))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for c in (chain, nest, hostile):
+        for c in (CHAIN, nest, HOSTILE):
             aut = program_automaton(c)
             assert program_automaton_json_text(aut) == _program_json_by_rows(aut)
     finally:
         sys.setrecursionlimit(limit)
 
 
+def _escaped(s):
+    return json.dumps(s, ensure_ascii=False)[1:-1]
+
+
+def test_print_program_builds_each_text_from_its_childrens():
+    # the program writer's route: every subterm printed children first,
+    # each result kept in texts, gives the plain text, and its JSON
+    # escaping when the escaper prints the names
+    rng = random.Random(34)
+    programs = [random_program(rng) for _ in range(200)]
+    programs += [Seq(Seq(Assign("x", TRUE), Skip()), Skip()), HOSTILE, CHAIN]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for c in programs:
+            texts, escaped = {}, {}
+            for focus, _ in reversed(all_locations(c)):
+                plain = print_program(focus)
+                texts[focus] = print_program(focus, texts)
+                escaped[focus] = print_program(focus, escaped, _escaped)
+                assert texts[focus] == plain
+                assert escaped[focus] == _escaped(plain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert print_program(Seq(Skip(), Skip()), {Skip(): "S"}) == "S; S"
+
+
 def test_closed_json_members_are_base_ids(silent_fork):
     closed = close_automaton(silent_fork)
-    data = closed_automaton_json(silent_fork, closed)
+    data = json.loads(closed_automaton_json_text(silent_fork, closed))
     assert data["nodes"][0] == {"id": 0, "members": [0, 1, 2]}
     assert data["init"] == 0
     assert len(data["edges"]) == 6
@@ -191,7 +221,7 @@ def test_program_json_reimports_as_the_position_renaming():
     rng = random.Random(31)
     for _ in range(30):
         aut = program_automaton(random_program(rng))
-        loaded = load_automaton(program_automaton_json(aut))
+        loaded = load_automaton(json.loads(program_automaton_json_text(aut)))
         assert loaded == position_renaming(aut)
         # a loaded action is the program's own Assign node
         numbered = load_automaton(json.loads(generic_automaton_json_text(aut)))
@@ -282,6 +312,19 @@ def test_trace_text_format():
         "0: init | ↓x := true @ @top | {}",
         "1: SAssign | ↑x := true @ @top | {x=true}",
     ]
+
+
+def test_trace_text_copies_its_output_once():
+    # its lines and its text each hold the output; one more copy of the
+    # text would take the peak past three times its size
+    trace = run_trace(LOOP, {}, 20000)
+    tracemalloc.start()
+    try:
+        text = trace_text(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sys.getsizeof(text)
 
 
 def test_trace_json_rows():

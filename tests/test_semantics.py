@@ -93,7 +93,7 @@ def test_run_trace_terminates_on_skip():
     tr = run_trace(Skip(), {}, 10)
     assert tr.status == TERMINATED
     assert [rule for _, rule in tr.steps] == ["SEmpty"]
-    assert is_terminal(tr.final)
+    assert is_terminal(tr.steps[-1][0])
 
 
 def test_run_trace_does_not_share_the_input_state():

@@ -11,7 +11,7 @@ from zippersem.ast import (FALSE, TRUE, Assign, Cond, HashConsed, Seq, Skip,
 from zippersem.automaton import program_automaton
 from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, SeqLeft,
                               SeqRight, Top, WhileBody, advance, all_locations,
-                              render_cursor, render_path)
+                              render_path)
 
 LOOP = parse_program("while (e) { x := true; y := false }")
 A1 = Assign("x", TRUE)
@@ -81,10 +81,8 @@ def test_program_nodes_give_both_flags_entering_first():
         assert cur.entering == (i % 2 == 0)
 
 
-def test_render_path_and_cursor():
+def test_render_path():
     assert render_path(TOP) == "@top"
-    assert render_cursor(Cursor(Skip(), TOP, True)) == "@top ↓"
-    assert render_cursor(Cursor(Skip(), TOP, False)) == "@top ↑"
     deep = all_locations(Cond(Var("b"), Skip(), While(Var("e"), Skip())))
     assert [render_path(path) for _, path in deep] == [
         "@top", "condT", "condF", "condF/body"]
