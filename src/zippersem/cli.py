@@ -62,7 +62,7 @@ _CHUNK = 1 << 20
 
 
 def _emit(text, out_path):
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             _write(fh, text)
     else:
@@ -101,17 +101,11 @@ def cmd_run(args):
 
 def cmd_compile(args):
     aut = program_automaton(_read_program(args.file))
-    if args.format == "dot":
-        label = None
-        if args.numbered:
-            node_label = formats.node_label(aut.nodes)
-            label = lambda n, i: f"{i}: {node_label(n)}"
-        text = formats.automaton_dot(aut, label)
-    elif args.numbered:
-        text = formats.generic_automaton_json_text(aut)
-    else:
-        text = formats.program_automaton_json_text(aut)
-    _emit(text, args.output)
+    # the writer by format, then plain or numbered
+    write = {"dot": (formats.automaton_dot, formats.numbered_automaton_dot),
+             "json": (formats.program_automaton_json_text,
+                      formats.generic_automaton_json_text)}[args.format]
+    _emit(write[args.numbered](aut), args.output)
     return EXIT_OK
 
 

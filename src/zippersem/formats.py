@@ -1,11 +1,12 @@
 """Serialization: automata and traces to JSON and DOT, and back for the
 generic integer-noded automaton shape.
 
-Node rendering lives here: render_node prints cursors, closures and plain
-ids.  One writer, automaton_json_text, lays out every automaton JSON
-shape; the shapes differ only in their node lists.  JSON node ids and DOT
-node names are positions in the node list, so exports are deterministic
-and re-import as the position-renamed automaton.
+Node rendering lives here: render_node prints a node, and _labelled the
+nodes of `compile --numbered` JSON and of DOT.  One writer lays out every
+automaton JSON shape, automaton_json_text, and one every DOT graph,
+automaton_dot; the shapes differ only in their node lists.  JSON node
+ids and DOT node names are positions in the node list, so exports are
+deterministic and re-import as the position-renamed automaton.
 
 An automaton's edges are plain (source, action, dest) tuples, and a
 compiled automaton's nodes are cursors, NamedTuples over interned
@@ -14,19 +15,18 @@ fixed row templates, in the bytes of json.dumps with indent=2, sorted
 keys and non-ASCII kept, plus a newline.  Template keys are in sorted
 order, strings go through the C string encoder, and ints and bools are
 written directly.  Every item of a JSON list starts with its own comma
-and line break, and _list frames the list, so a whole text is one join.
-Each edge action's text is put into a row template once, so an edge
-formats only its two ids.  A compiled program's node list is written
-from texts built once each: a subterm's escaped text by print_program
-from its children's, a path's from its parent's.  They go into the
-output's one join by reference, since two cursors share each focus and
-path, so compiling costs time in the output's size, not a walk per
-node.  Cursor labels, in `compile --numbered` and DOT, take the same
-path texts.
+and line break, and _list frames the list, so a whole text is one join,
+as a DOT text is.  Each edge action's text, JSON or DOT, is put into a
+line template once, so an edge formats only its two ids.  A compiled
+program's node list is written from texts built once each: a subterm's
+escaped text by print_program from its children's, a path's from its
+parent's.  They go into the output's one join by reference, since two
+cursors share each focus and path, so compiling costs time in the
+output's size, not a walk per node; labels take the same path texts.
 """
 
 import json
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring
 
 from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
@@ -93,19 +93,6 @@ def render_node(n) -> str:
     if isinstance(n, NodeSet):
         return "{" + ", ".join(render_node(m) for m in n.members) + "}"
     return str(n)
-
-
-def node_label(nodes):
-    """render_node, for the given nodes.  A cursor's label is its path's
-    text and its arrow, and path_texts builds each path's text once, from
-    its parent's, rather than walking up the path for every cursor."""
-    paths = path_texts(n.path for n in nodes if isinstance(n, Cursor))
-
-    def label(n) -> str:
-        if isinstance(n, Cursor):
-            return paths[n.path] + _ARROW[n.entering]
-        return render_node(n)
-    return label
 
 
 def _node_ids(aut: Automaton) -> dict:
@@ -188,31 +175,32 @@ def closed_automaton_json_text(base: Automaton, closed: Automaton) -> str:
                  _CLOSED_TAIL)) for n, i in ids.items()], "  "))
 
 
-# a labelled node in pieces: the head, which carries the separator from
-# the node before, the label's JSON string, the tail
+# a labelled JSON node's head, which carries the separator, and its tail
 _GENERIC_HEAD = ',\n    {\n      "id": %d,\n      "label": '
 _GENERIC_TAIL = '\n    }'
 
 
-def _generic_node_list(ids: dict) -> list:
-    """The node list of labelled nodes.  A cursor's label goes in as its
-    path text, shared by reference with the cursor of the other flag,
-    and its arrow, neither of which needs escaping."""
+def _labelled(ids: dict, head: str, tail: str, quote, numbered=False) -> list:
+    """Pieces of labelled nodes: head % id, the label, led by "id: " if
+    numbered, and tail.  A cursor's label is its path text, shared by
+    reference with the cursor of the other flag, and its arrow, which
+    need no quoting; any other node's is quote(render_node(n))."""
     paths = path_texts(n.path for n in ids if isinstance(n, Cursor))
     pieces = []
     for n, i in ids.items():
+        number = "%d: " % i if numbered else ""
         if isinstance(n, Cursor):
-            pieces += (_GENERIC_HEAD % i + '"', paths[n.path],
-                       _ARROW[n.entering] + '"' + _GENERIC_TAIL)
+            pieces += (head % i + '"' + number, paths[n.path],
+                       _ARROW[n.entering] + '"' + tail)
         else:
-            pieces += (_GENERIC_HEAD % i, encode_basestring(render_node(n)),
-                       _GENERIC_TAIL)
-    return _list(pieces, "  ")
+            pieces += (head % i, quote(number + render_node(n)), tail)
+    return pieces
 
 
 def generic_automaton_json_text(aut: Automaton) -> str:
     """JSON text for an automaton over plain (typically int) nodes."""
-    return automaton_json_text(aut, _generic_node_list)
+    return automaton_json_text(aut, lambda ids: _list(
+        _labelled(ids, _GENERIC_HEAD, _GENERIC_TAIL, encode_basestring), "  "))
 
 
 def program_automaton_json(aut: Automaton) -> dict:
@@ -278,30 +266,40 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def automaton_dot(aut: Automaton, label=None) -> str:
-    """DOT digraph; node names are positional and label(node, id) gives
-    each node's label, by default its rendering.  The initial node is
-    marked by a point-shaped source."""
+# a DOT node's line: its quoted label goes between these
+_DOT_NODE = "  n%d [label="
+_DOT_END = "];\n"
+_dot_labelled = partial(_labelled, head=_DOT_NODE, tail=_DOT_END,
+                        quote=_quote)
+
+
+def automaton_dot(aut: Automaton, node_list=None) -> str:
+    """DOT digraph; node names are positions in the node list, and
+    node_list(ids) gives the node lines from the ids of the distinct
+    nodes, as pieces of the text: by default _labelled's, each node's
+    rendering.  The initial node is marked by a point-shaped source."""
     ids = _node_ids(aut)
-    if label is None:
-        default = node_label(ids)
-        label = lambda n, i: default(n)
-    lines = ["digraph automaton {\n  rankdir=LR;\n  __init [shape=point];\n"]
-    for n, i in ids.items():
-        lines.append(f"  n{i} [label={_quote(label(n, i))}];\n")
-    lines.append(f"  __init -> n{ids[aut.init]};\n")
-    for s, a, d in aut.edges:
-        lines.append(f"  n{ids[s]} -> n{ids[d]}"
-                     f" [label={_quote(render_action(a))}];\n")
-    lines.append("}\n")
-    return "".join(lines)
+    # one line template per action, as for JSON edge rows
+    rows = {a: "  n%d -> n%d [label=" + _quote(render_action(a)).replace(
+        "%", "%%") + _DOT_END for a in {a for _, a, _ in aut.edges}}
+    return "".join([
+        "digraph automaton {\n  rankdir=LR;\n  __init [shape=point];\n",
+        *(node_list or _dot_labelled)(ids),
+        "  __init -> n%d;\n" % ids[aut.init],
+        *[rows[a] % (ids[s], ids[d]) for s, a, d in aut.edges], "}\n"])
+
+
+def numbered_automaton_dot(aut: Automaton) -> str:
+    """automaton_dot's digraph, with labels that read "id: rendering"."""
+    return automaton_dot(aut, partial(_dot_labelled, numbered=True))
 
 
 def closed_automaton_dot(base: Automaton, closed: Automaton) -> str:
     """DOT digraph of a closed automaton, labelled by member base ids."""
     members = _member_ids(base)
-    return automaton_dot(closed, lambda n, i: "{" + ",".join(
-        str(j) for j in members(n)) + "}")
+    line = _DOT_NODE + '"{%s}"' + _DOT_END
+    return automaton_dot(closed, lambda ids: [
+        line % (i, ",".join(map(str, members(n)))) for n, i in ids.items()])
 
 
 def render_state(s: dict) -> str:
@@ -345,9 +343,14 @@ def trace_json_text(trace: Trace) -> str:
 
 
 def trace_text(trace: Trace) -> str:
-    """One line per configuration; cursors and states render once."""
+    """One line per configuration; cursors and states render once, and
+    foci children first, since a focus is reached after those above it."""
+    foci = dict.fromkeys(cfg.cursor.focus for _, _, cfg in _trace_rows(trace))
+    focus = {}
+    for c in reversed(foci):
+        focus[c] = print_program(c, focus)
     where = cache(lambda cur: f"{'↓' if cur.entering else '↑'}"
-                  f"{print_program(cur.focus)} @ {render_path(cur.path)}")
+                  f"{focus[cur.focus]} @ {render_path(cur.path)}")
     state = state_text = None
     lines = []
     for i, rule, cfg in _trace_rows(trace):

@@ -43,14 +43,19 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert err.startswith("parse error: line 1, column 6")
 
 
-def test_missing_file_exits_2(capsys):
+def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["parse", "/nonexistent/p.imp"]) == 2
     assert "error" in capsys.readouterr().err
-    # an empty automaton name is a file that cannot be opened, not no name
+    # an empty automaton or output name is a file that cannot be opened,
+    # not no name
     with pytest.raises(OSError) as expected:
         open("", encoding="utf-8")
     for command in (["tauclose"], ["check", "regular"], ["check", "tausim"]):
         assert main(command + ["--automaton", ""]) == 2
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+    f = write(tmp_path, "p.imp", LOOP_SRC)
+    for command in ("compile", "tauclose"):
+        assert main([command, f, "-o", ""]) == 2
         assert capsys.readouterr() == ("", f"error: {expected.value}\n")
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import closed_shape, node_set, position_renaming
 from randgen import random_automaton, random_program, random_state
+from zippersem import formats
 from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Lit, Seq, Skip,
                            Var, While, parse_program, print_program,
                            value_literal)
@@ -20,6 +21,7 @@ from zippersem.formats import (action_from_json, automaton_dot,
                                closed_automaton_dot,
                                closed_automaton_json_text,
                                generic_automaton_json_text, load_automaton,
+                               numbered_automaton_dot,
                                program_automaton_json_text, render_node,
                                render_state, trace_json_text, trace_text)
 from zippersem.semantics import run_trace
@@ -281,6 +283,25 @@ def test_dot_output_shape():
     assert dot.count("->") == len(aut.edges) + 1  # plus the init marker
     assert 'n0 [label="@top ↓"];' in dot
     assert '"τ"' in dot and '"x:=true"' in dot
+    # an action's text goes into its edge template as it is
+    dot = automaton_dot(Automaton((0, 1), ((0, Assign("a%d", TRUE), 1),), 0))
+    assert '  n0 -> n1 [label="a%d:=true"];\n' in dot
+
+
+def test_dot_copies_its_output_once():
+    # labels share their path texts with the cursor of the other flag,
+    # and edges their action's template, so the peak stays within the
+    # text and the path texts it joins
+    aut = program_automaton(parse_program(
+        "while (a) { " + "; ".join(["skip"] * 1000) + " }"))
+    for write in (automaton_dot, numbered_automaton_dot):
+        tracemalloc.start()
+        try:
+            text = write(aut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * sys.getsizeof(text), write.__name__
 
 
 def test_dot_quotes_special_characters():
@@ -288,6 +309,10 @@ def test_dot_quotes_special_characters():
         {"nodes": ['sa"y', "back\\slash"], "edges": [], "init": 'sa"y'}))
     assert '[label="sa\\"y"];' in dot
     assert '[label="back\\\\slash"];' in dot
+    dot = numbered_automaton_dot(load_automaton(
+        {"nodes": ['sa"y', "back\\slash"], "edges": [], "init": 'sa"y'}))
+    assert 'n0 [label="0: sa\\"y"];' in dot
+    assert 'n1 [label="1: back\\\\slash"];' in dot
 
 
 def test_dot_closed_labels(silent_fork):
@@ -325,6 +350,27 @@ def test_trace_text_copies_its_output_once():
     finally:
         tracemalloc.stop()
     assert peak < 3 * sys.getsizeof(text)
+
+
+def test_trace_text_prints_each_focus_once_children_first(monkeypatch):
+    # a visited focus prints once, with the texts of its visited children
+    # at hand, instead of a walk per cursor over its whole subtree
+    c = parse_program("while (a) { while (b) { x := true; b := false }; skip }")
+    trace = run_trace(c, {"a": TRUE, "b": TRUE}, 200)
+    visited = {cfg.cursor.focus for cfg in [trace.start] +
+               [cfg for cfg, _ in trace.steps]}
+    calls = []
+
+    def spy(c, texts=(), name=str):
+        calls.append((c, set(texts)))
+        return print_program(c, texts, name)
+    monkeypatch.setattr(formats, "print_program", spy)
+    trace_text(trace)
+    printed = [c for c, _ in calls]
+    assert len(printed) == len(visited) and set(printed) == visited
+    for c, texts in calls:
+        children = {getattr(c, f) for f in type(c).__slots__}
+        assert children & visited <= texts, print_program(c)
 
 
 def test_trace_json_rows():
