@@ -2,8 +2,8 @@
 
 Subcommands: parse, run, compile, tauclose, and check (sim, closure,
 regular, tausim).  Reports go to standard output, diagnostics to standard
-error.  Exit codes: 0 success, 2 parse or input errors, 3 stuck execution,
-4 step limit reached, 5 property violation.
+error.  Exit codes: 0 success, 2 parse or input errors and inputs too large
+for memory, 3 stuck execution, 4 step limit reached, 5 property violation.
 """
 
 import argparse
@@ -85,17 +85,14 @@ def cmd_parse(args):
 
 def cmd_run(args):
     c = _read_program(args.file)
-    state = _parse_state(args.state)
-    trace = run_trace(c, state, args.max_steps)
+    trace = run_trace(c, _parse_state(args.state), args.max_steps)
     if args.trace_format == "json":
-        sys.stdout.write(formats.trace_json_text(trace))
+        _emit(formats.trace_json_text(trace), None)
         print(f"status: {trace.status}", file=sys.stderr)
     else:
-        sys.stdout.write(formats.trace_text(trace))
-        line = f"status: {trace.status}"
-        if trace.stuck_reason:
-            line += f" ({trace.stuck_reason})"
-        print(line)
+        _emit(formats.trace_text(trace), None)
+        reason = f" ({trace.stuck_reason})" if trace.stuck_reason else ""
+        print(f"status: {trace.status}{reason}")
     return _STATUS_EXIT[trace.status]
 
 
@@ -276,6 +273,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        pass  # reported below, where its traceback no longer holds the frames
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def console():

@@ -22,11 +22,12 @@ program's node list is written from texts built once each: a subterm's
 escaped text by print_program from its children's, a path's from its
 parent's.  They go into the output's one join by reference, since two
 cursors share each focus and path, so compiling costs time in the
-output's size, not a walk per node; labels take the same path texts.
+output's size, not a walk per node; labels and trace rows take the same
+path texts, and text trace rows one text per cursor, by reference.
 """
 
 import json
-from functools import cache, partial
+from functools import partial
 from json.encoder import encode_basestring
 
 from .ast import (Assign, brief_repr, is_valid_name, parse_value_literal,
@@ -306,14 +307,11 @@ def render_state(s: dict) -> str:
     return "{" + ", ".join(f"{k}={value_literal(s[k])}" for k in sorted(s)) + "}"
 
 
-def _trace_rows(trace: Trace):
-    yield 0, "init", trace.start
-    for i, (cfg, rule) in enumerate(trace.steps, start=1):
-        yield i, rule, cfg
-
-
-_TRACE_ROW = (',\n  {\n    "flag": %s,\n    "path": %s,\n    "rule": %s,'
-              '\n    "state": %s,\n    "step": %d\n  }')
+# a trace row's head, one per flag, ends in the path's opening quote and
+# its tail starts with the closing one: path texts need no escaping
+_TRACE_HEAD = {f: ',\n  {\n    "flag": %s,\n    "path": "' % json.dumps(f)
+               for f in (True, False)}
+_TRACE_TAIL = '",\n    "rule": %s,\n    "state": %s,\n    "step": %d\n  }'
 
 
 def _state_text(s: dict) -> str:
@@ -327,36 +325,37 @@ def _state_text(s: dict) -> str:
 
 def trace_json_text(trace: Trace) -> str:
     """JSON text of a trace, one row per configuration."""
-    path_text = cache(lambda p: encode_basestring(render_path(p)))
+    rows = [(trace.start, "init"), *trace.steps]
+    path = path_texts(cfg.cursor.path for cfg, _ in rows)
     state = state_text = None
-    rows = []
-    for i, rule, cfg in _trace_rows(trace):
+    pieces = []
+    for i, (cfg, rule) in enumerate(rows):
         cur = cfg.cursor
         # a step that assigns nothing keeps its state object
         if cfg.state is not state:
             state = cfg.state
             state_text = _state_text(state)
-        rows.append(_TRACE_ROW % ("true" if cur.entering else "false",
-                                  path_text(cur.path),
-                                  encode_basestring(rule), state_text, i))
-    return "".join([*_list(rows, ""), "\n"])
+        pieces += (_TRACE_HEAD[cur.entering], path[cur.path],
+                   _TRACE_TAIL % (encode_basestring(rule), state_text, i))
+    return "".join([*_list(pieces, ""), "\n"])
 
 
 def trace_text(trace: Trace) -> str:
-    """One line per configuration; cursors and states render once, and
-    foci children first, since a focus is reached after those above it."""
-    foci = dict.fromkeys(cfg.cursor.focus for _, _, cfg in _trace_rows(trace))
+    """One line per configuration, joined from each distinct cursor's text,
+    built once from its focus's and path's texts as compile builds them."""
+    rows = [(trace.start, "init"), *trace.steps]
+    curs = dict.fromkeys(cfg.cursor for cfg, _ in rows)
     focus = {}
-    for c in reversed(foci):
+    for c in reversed(dict.fromkeys(cur.focus for cur in curs)):
         focus[c] = print_program(c, focus)
-    where = cache(lambda cur: f"{'↓' if cur.entering else '↑'}"
-                  f"{focus[cur.focus]} @ {render_path(cur.path)}")
-    state = state_text = None
-    lines = []
-    for i, rule, cfg in _trace_rows(trace):
+    path = path_texts(cur.path for cur in curs)
+    where = {cur: f"{_ARROW[cur.entering][1:]}{focus[cur.focus]} @ "
+                  f"{path[cur.path]}" for cur in curs}
+    state = tail = None
+    pieces = []
+    for i, (cfg, rule) in enumerate(rows):
         if cfg.state is not state:
             state = cfg.state
-            state_text = render_state(state)
-        lines.append(f"{i}: {rule} | {where(cfg.cursor)} | {state_text}")
-    lines.append("")
-    return "\n".join(lines)
+            tail = f" | {render_state(state)}\n"
+        pieces += (f"{i}: {rule} | ", where[cfg.cursor], tail)
+    return "".join(pieces)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from randgen import random_program
-from zippersem import automaton, cli, semantics, tauclose
+from zippersem import automaton, cli, formats, semantics, tauclose
 from zippersem.ast import FALSE, TRUE, parse_program, print_program
 from zippersem.cli import main
 
@@ -122,6 +122,42 @@ def test_run_json_trace(tmp_path, capsys):
     assert [r["step"] for r in rows] == [0, 1, 2, 3, 4]
     assert rows[3]["state"] == {"x": "true"}
     assert captured.err == "status: step-limit\n"
+
+
+def test_run_writes_its_trace_in_slices(tmp_path, monkeypatch, capsys):
+    # a trace of over a million characters goes out in slices of at most
+    # _CHUNK characters, as every large output does, not as one string
+    # encoded whole; the JSON run's status line goes to stderr
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, s):
+            self.writes.append(s)
+
+    f = write(tmp_path, "loop.imp", LOOP_SRC)
+    trace = semantics.run_trace(parse_program(LOOP_SRC), {}, 20000)
+    for fmt, text, status in (
+            ("text", formats.trace_text(trace), "status: step-limit\n"),
+            ("json", formats.trace_json_text(trace), "")):
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["run", "--max-steps", "20000", "--trace-format", fmt,
+                     f]) == 4
+        assert len(text) > cli._CHUNK
+        assert max(map(len, out.writes)) <= cli._CHUNK
+        assert "".join(out.writes) == text + status
+    assert capsys.readouterr().err == "status: step-limit\n"
+
+
+def test_run_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch,
+                                                 capsys):
+    def exhausted(trace):
+        raise MemoryError
+    monkeypatch.setattr(formats, "trace_text", exhausted)
+    f = write(tmp_path, "p.imp", "skip")
+    assert main(["run", f]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_compile_json(tmp_path, capsys):

@@ -29,6 +29,8 @@ from zippersem.tauclose import close_automaton
 from zippersem.zipper import all_locations, render_path
 
 LOOP = parse_program("while (true) { x := true; y := false }")
+# a nest whose trace rows print long foci and paths
+NEST = parse_program("while (a) { " * 60 + "x := true" + "; y := false }" * 60)
 # a chain deeper than the default recursion limit, and names that JSON
 # escapes, each escaped apart from its neighbours
 CHAIN = parse_program("; ".join(f"x{i % 10} := true" for i in range(1100)))
@@ -330,6 +332,16 @@ def test_state_rendering():
     assert json.loads(trace_json_text(tr))[0]["state"] == {"x": "true", "y": "true"}
 
 
+def _trace_text_by_rows(trace):
+    """The text trace with each row's focus printed and path rendered on
+    its own."""
+    rows = [(trace.start, "init"), *trace.steps]
+    return "".join(
+        f"{i}: {rule} | {'↓' if cfg.cursor.entering else '↑'}"
+        f"{print_program(cfg.cursor.focus)} @ {render_path(cfg.cursor.path)}"
+        f" | {render_state(cfg.state)}\n" for i, (cfg, rule) in enumerate(rows))
+
+
 def test_trace_text_format():
     tr = run_trace(parse_program("x := true"), {}, 10)
     lines = trace_text(tr).splitlines()
@@ -337,19 +349,33 @@ def test_trace_text_format():
         "0: init | ↓x := true @ @top | {}",
         "1: SAssign | ↑x := true @ @top | {x=true}",
     ]
+    # the rows joined from shared texts are the rows printed one by one:
+    # on names printed raw, a chain deeper than the recursion limit, and
+    # random programs, terminated, stuck and cut off
+    runs = [(HOSTILE, {ODD[1]: b, ODD[2]: b}) for b in (TRUE, FALSE, NULL)]
+    runs.append((CHAIN, {}))
+    rng = random.Random(30)
+    runs += [(random_program(rng), random_state(rng)) for _ in range(20)]
+    for c, state in runs:
+        tr = run_trace(c, state, 5000)
+        assert trace_text(tr) == _trace_text_by_rows(tr)
 
 
 def test_trace_text_copies_its_output_once():
-    # its lines and its text each hold the output; one more copy of the
-    # text would take the peak past three times its size
-    trace = run_trace(LOOP, {}, 20000)
-    tracemalloc.start()
-    try:
-        text = trace_text(trace)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * sys.getsizeof(text)
+    # both trace writers: the text holds the output once; rows that
+    # copied their cursor's texts, or a second copy of the text, would
+    # take the peak past the bound, since rows join texts built once per
+    # cursor by reference
+    for c, state, bound in ((LOOP, {}, 3), (NEST, {"a": TRUE}, 1.5)):
+        trace = run_trace(c, state, 20000)
+        for write in (trace_text, trace_json_text):
+            tracemalloc.start()
+            try:
+                text = write(trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * sys.getsizeof(text), (write.__name__, bound)
 
 
 def test_trace_text_prints_each_focus_once_children_first(monkeypatch):
