@@ -16,9 +16,10 @@ Assignment right-hand sides are literals only.  Whitespace and '//' line
 comments are ignored.  Identifiers are [A-Za-z][A-Za-z0-9_]* minus the
 keywords: the names `is_valid_name` accepts, here as everywhere else.
 
-The tokenizer gives (text, offset) pairs, and a token's text gives its
+The tokenizer gives the text of each token, and a token's text gives its
 kind: a keyword or symbol is its own spelling, which no identifier has,
-and the end of input is the empty token.
+and the end of input is the empty token.  A token's offset is found again
+only for an error that reports it.
 """
 
 import re
@@ -249,24 +250,35 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""[ \t\r\n]+ | //[^\n]*
-      | ([A-Za-z][A-Za-z0-9_]*|:=|[;(){}])  # a token
-      | (.)  # anything else
+      | ([A-Za-z][A-Za-z0-9_]*|:=|[;(){}]|.)  # a token or any other character
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+# the one-character tokens; any other character found alone is an error
+_SINGLES = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                     "abcdefghijklmnopqrstuvwxyz;(){}")
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """(text, offset) of each token, then ("", len(text)) for the end."""
-    tokens = []
+
+def _offset(text: str, k: int) -> int:
+    """Offset of token k in `text`, or len(text) for the end of input."""
     for m in _TOKEN_RE.finditer(text):
-        token, bad = m.groups()
-        if token:
-            tokens.append((token, m.start()))
-        elif bad:
-            raise ParseError.at(text, m.start(),
-                                f"unexpected character {bad!r}")
-    tokens.append(("", len(text)))
+        if m.group(1):
+            if not k:
+                return m.start()
+            k -= 1
+    return len(text)
+
+
+def _tokenize(text: str) -> list[str]:
+    """Text of each token, then "" for the end of input."""
+    tokens = list(filter(None, _TOKEN_RE.findall(text)))
+    if any(len(t) == 1 for t in set(tokens).difference(_SINGLES)):
+        k, bad = next((k, t) for k, t in enumerate(tokens)
+                      if len(t) == 1 and t not in _SINGLES)
+        raise ParseError.at(text, _offset(text, k),
+                            f"unexpected character {bad!r}")
+    tokens.append("")
     return tokens
 
 
@@ -277,12 +289,13 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> str:
-        return self.tokens[self.pos][0]
+        return self.tokens[self.pos]
 
     def fail(self, message: str):
-        token, offset = self.tokens[self.pos]
+        token = self.tokens[self.pos]
         what = repr(token) if token else "end of input"
-        raise ParseError.at(self.text, offset, f"{message}, found {what}")
+        raise ParseError.at(self.text, _offset(self.text, self.pos),
+                            f"{message}, found {what}")
 
     def expect(self, token: str):
         """Step past the next token, which must be `token`."""

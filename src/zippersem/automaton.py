@@ -6,13 +6,17 @@ possible small step.  Only the step of an assignment carries an action;
 every other edge is silent.  The automaton over-approximates execution,
 since both branches of a conditional and both outcomes of a loop header
 are present regardless of state.
+
+Compilation reads every edge off the location table of all_locations.
+step_image derives the same edges one cursor at a time through advance,
+so the closure check compares two independent constructions.
 """
 
 from typing import Any, NamedTuple
 
 from .ast import Assign, Cond, Seq, Skip, Stmt, While, value_literal
 from .semantics import run_trace
-from .zipper import (TOP, CondElse, CondThen, Cursor, SeqLeft, Top, WhileBody,
+from .zipper import (CondElse, CondThen, Cursor, SeqLeft, Top, WhileBody,
                      advance, all_locations)
 
 
@@ -92,23 +96,51 @@ def action_of(cur: Cursor) -> Assign | None:
     return SILENT
 
 
-def edges_of(cur: Cursor) -> list[tuple]:
-    """Outgoing (source, action, dest) edges of one program point."""
-    a = action_of(cur)
-    return [(cur, a, dest) for dest in step_image(cur)]
-
-
 def program_automaton(c: Stmt) -> Automaton:
     """Compile a statement to its program-point automaton.
 
     Nodes are both cursors of every location in pre-order, entering
-    first, so the node count is twice the subterm count.  The initial node
-    enters the root.
+    first, so the node count is twice the subterm count: node 2i enters
+    location i and node 2i + 1 leaves it.  The initial node enters the
+    root.  Edges are step_image's, in node order, each read off the
+    location table: a location's parent is the index of its path's `up`,
+    and the locations of its subtree run from its own index to its end.
     """
-    nodes = tuple(Cursor(focus, path, entering) for focus, path in
-                  all_locations(c) for entering in (True, False))
-    edges = tuple(e for cur in nodes for e in edges_of(cur))
-    return Automaton(nodes, edges, Cursor(c, TOP, True))
+    locs = all_locations(c)
+    nodes = tuple(Cursor(focus, path, entering) for focus, path in locs
+                  for entering in (True, False))
+    enters, leaves = nodes[::2], nodes[1::2]
+    index = {path: i for i, (_, path) in enumerate(locs)}
+    end = list(range(1, len(locs) + 1))
+    for i in range(len(locs) - 1, 0, -1):
+        up = index[locs[i][1].up]
+        if end[up] < end[i]:
+            end[up] = end[i]
+    edges = []
+    add = edges.append
+    for i, (focus, path) in enumerate(locs):
+        enter, leave = enters[i], leaves[i]
+        if isinstance(focus, Seq):
+            add((enter, SILENT, enters[i + 1]))
+        elif isinstance(focus, Cond):
+            add((enter, SILENT, enters[i + 1]))
+            add((enter, SILENT, enters[end[i + 1]]))
+        elif isinstance(focus, While):
+            add((enter, SILENT, enters[i + 1]))
+            add((enter, SILENT, leave))
+        elif isinstance(focus, Assign):
+            add((enter, focus, leave))
+        elif isinstance(focus, Skip):
+            add((enter, SILENT, leave))
+        else:
+            raise TypeError(f"not a statement: {focus!r}")
+        if isinstance(path, SeqLeft):
+            add((leave, SILENT, enters[end[i]]))
+        elif isinstance(path, WhileBody):
+            add((leave, SILENT, enters[index[path.up]]))
+        elif i:
+            add((leave, SILENT, leaves[index[path.up]]))
+    return Automaton(nodes, tuple(edges), nodes[0])
 
 
 def is_regular(aut: Automaton) -> bool:
@@ -124,9 +156,10 @@ def step_image_closed(aut: Automaton) -> tuple[bool, bool]:
     nodes, edges = set(aut.nodes), set(aut.edges)
     nodes_ok = edges_ok = True
     for n in aut.nodes:
-        for e in edges_of(n):
-            nodes_ok = nodes_ok and e[2] in nodes
-            edges_ok = edges_ok and e in edges
+        a = action_of(n)
+        for d in step_image(n):
+            nodes_ok = nodes_ok and d in nodes
+            edges_ok = edges_ok and (n, a, d) in edges
     return nodes_ok, edges_ok
 
 

@@ -20,15 +20,24 @@ its path frame by frame: the zipper law of criterion 3 is that every
 rewrite_step and rewrite_run are the textbook structural semantics,
 which rewrites the statement instead of moving a cursor through it: an
 independent oracle for semantics.run_trace (criterion 10).
+edges_of and cursor_automaton compile a program cursor by cursor through
+automaton.step_image, the library's route before compilation read its
+edges off the location table; tests pin automaton.program_automaton to
+it.  tokenize is the parser's tokenizer before it dropped the offsets of
+its tokens: (text, offset) of every token, which the parser's error
+offsets must match.
 """
 
-from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, Seq, Skip, Stmt,
-                           Var, While)
-from zippersem.automaton import SILENT, Automaton
+import re
+
+from zippersem.ast import (FALSE, NULL, TRUE, Assign, Cond, ParseError, Seq,
+                           Skip, Stmt, Var, While)
+from zippersem.automaton import SILENT, Automaton, action_of, step_image
 from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED
 from zippersem.tauclose import NodeSet, TauSimReport
-from zippersem.zipper import (CondElse, CondThen, Cursor, Path, SeqLeft,
-                              SeqRight, Top, WhileBody, render_path)
+from zippersem.zipper import (TOP, CondElse, CondThen, Cursor, Path, SeqLeft,
+                              SeqRight, Top, WhileBody, all_locations,
+                              render_path)
 
 
 def subterm_count(c: Stmt) -> int:
@@ -216,3 +225,40 @@ def rewrite_run(c: Stmt, state: dict, max_steps: int):
     status = (TERMINATED if isinstance(c, Skip) else
               STUCK if rewrite_step(c, s) is None else STEP_LIMIT)
     return status, s, assigned, reached
+
+
+def edges_of(cur: Cursor) -> list[tuple]:
+    """Outgoing (source, action, dest) edges of one program point."""
+    a = action_of(cur)
+    return [(cur, a, dest) for dest in step_image(cur)]
+
+
+def cursor_automaton(c: Stmt) -> Automaton:
+    """The program-point automaton, each node's edges from edges_of."""
+    nodes = tuple(Cursor(focus, path, entering) for focus, path in
+                  all_locations(c) for entering in (True, False))
+    edges = tuple(e for cur in nodes for e in edges_of(cur))
+    return Automaton(nodes, edges, Cursor(c, TOP, True))
+
+
+_TOKEN_RE = re.compile(
+    r"""[ \t\r\n]+ | //[^\n]*
+      | ([A-Za-z][A-Za-z0-9_]*|:=|[;(){}])  # a token
+      | (.)  # anything else
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokenize(text: str) -> list[tuple[str, int]]:
+    """(text, offset) of each token, then ("", len(text)) for the end."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        token, bad = m.groups()
+        if token:
+            tokens.append((token, m.start()))
+        elif bad:
+            raise ParseError.at(text, m.start(),
+                                f"unexpected character {bad!r}")
+    tokens.append(("", len(text)))
+    return tokens

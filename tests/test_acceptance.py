@@ -17,16 +17,16 @@ import acceptance_report
 from oracles import (closure_bfs, closure_step, reconstruct_loc,
                      rewrite_run, subterm_count, tau_closure)
 from randgen import random_automaton, random_program, random_state
-from zippersem.ast import TRUE, Assign
+from zippersem.ast import TRUE, Assign, Cond, While, parse_program
 from zippersem.automaton import (SILENT, action_of, check_simulation,
                                  is_regular, program_automaton,
                                  step_image_closed)
-from zippersem import semantics
+from zippersem import automaton, semantics, zipper
 from zippersem.cli import main as cli_main
 from zippersem.semantics import STEP_LIMIT, STUCK, TERMINATED, run_trace
 from zippersem.tauclose import check_tau_simulation, close_automaton
-from zippersem.zipper import (CondElse, CondThen, Cursor, Top, advance,
-                              all_locations)
+from zippersem.zipper import (CondElse, CondThen, Cursor, Top, WhileBody,
+                              advance, all_locations)
 
 _T0 = time.perf_counter()
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -116,25 +116,73 @@ def test_criterion_3_zipper_laws(program_corpus):
                     assert (cur.focus, cur.path) in locset
 
 
+def _compiled_automata_are_closed(program_corpus):
+    for c in program_corpus:
+        aut = program_automaton(c)
+        assert len(aut.nodes) == 2 * subterm_count(c)
+        assert step_image_closed(aut) == (True, True)
+        assert is_regular(aut)
+
+
 def test_criterion_4_compiled_automata_are_closed(program_corpus):
     with criterion(4, "compiled automata are closed and regular with twice "
                       "the subterm count as nodes (1000 programs)"):
-        for c in program_corpus:
-            aut = program_automaton(c)
-            assert len(aut.nodes) == 2 * subterm_count(c)
-            assert step_image_closed(aut) == (True, True)
-            assert is_regular(aut)
+        _compiled_automata_are_closed(program_corpus)
+
+
+def _every_step_is_matched(program_corpus):
+    rng = random.Random(55)
+    for c in program_corpus:
+        state = random_state(rng)
+        report = check_simulation(c, state, max_steps=500)
+        assert report.ok
+        assert report.steps_checked == len(run_trace(c, state, 500).steps)
 
 
 def test_criterion_5_every_step_is_matched(program_corpus):
     with criterion(5, "an automaton edge matches every semantic step on "
                       "1000 program/state pairs (500-step bound)"):
-        rng = random.Random(55)
-        for c in program_corpus:
-            state = random_state(rng)
-            report = check_simulation(c, state, max_steps=500)
-            assert report.ok
-            assert report.steps_checked == len(run_trace(c, state, 500).steps)
+        _every_step_is_matched(program_corpus)
+
+
+def test_closure_criterion_catches_an_extra_cond_edge(program_corpus,
+                                                      monkeypatch):
+    # a static map that also leaves every entering conditional at once:
+    # compilation does not call step_image, so the check sees the edge
+    original = automaton.step_image
+
+    def extra(cur):
+        image = original(cur)
+        if cur.entering and isinstance(cur.focus, Cond):
+            image.append(Cursor(cur.focus, cur.path, False))
+        return image
+
+    monkeypatch.setattr(automaton, "step_image", extra)
+    c = parse_program("if (a) { x := true } else { skip }")
+    assert step_image_closed(program_automaton(c)) == (True, False)
+    with pytest.raises(AssertionError):
+        _compiled_automata_are_closed(program_corpus)
+
+
+def test_simulation_criterion_catches_a_body_leaving_its_loop(program_corpus,
+                                                              monkeypatch):
+    # an advance in which a finished loop body leaves its loop, bound
+    # wherever the library calls advance: compilation does not, so the
+    # semantics' step has no edge
+    original = zipper.advance
+
+    def leaves(c, sp):
+        if isinstance(sp, WhileBody):
+            return Cursor(While(sp.test, c), sp.up, False)
+        return original(c, sp)
+
+    monkeypatch.setattr(semantics, "advance", leaves)
+    monkeypatch.setattr(automaton, "advance", leaves)
+    c = parse_program("if (a) { x := true } else { y := false }; "
+                      "while (b) { z := null }")
+    assert not check_simulation(c, {"a": TRUE, "b": TRUE}).ok
+    with pytest.raises(AssertionError):
+        _every_step_is_matched(program_corpus)
 
 
 def test_criterion_6_closure_routes_agree(automata_corpus):

@@ -1,19 +1,25 @@
 """Program compilation, closure predicates and the step-matching check."""
 
 import random
+import sys
 
-from oracles import subterm_count
+from oracles import cursor_automaton, edges_of, subterm_count
 from randgen import random_program, random_state
+from zippersem import automaton, zipper
 from zippersem.ast import (FALSE, TRUE, Assign, Cond, Seq, Skip, Var,
                            parse_program)
 from zippersem.automaton import (SILENT, Automaton, action_effect,
-                                 action_of, check_simulation, edges_of,
-                                 is_regular, program_automaton, render_action,
+                                 action_of, check_simulation, is_regular,
+                                 program_automaton, render_action,
                                  step_image, step_image_closed)
 from zippersem.semantics import run_trace
 from zippersem.zipper import TOP, Cursor, all_locations, render_path
 
 LOOP = parse_program("while (e) { x := true; y := false }")
+# a chain and a nest deeper than the default recursion limit
+CHAIN = parse_program("; ".join(f"x{i % 10} := true" for i in range(1100)))
+NEST = parse_program("while (a) { " * 1000 + "x := true"
+                     + "; y := false }" * 1000)
 
 
 def _cursor(c, entering=True, path=TOP):
@@ -107,6 +113,46 @@ def test_compiled_automata_are_closed_and_regular():
         aut = program_automaton(random_program(rng))
         assert step_image_closed(aut) == (True, True)
         assert is_regular(aut)
+
+
+def test_compile_matches_the_cursor_route():
+    # compared as bools and counted, so a failure prints no cursor lists
+    rng = random.Random(5)
+    programs = [random_program(rng) for _ in range(1000)] + [CHAIN, NEST]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        same = sum(program_automaton(c) == cursor_automaton(c)
+                   for c in programs)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same == len(programs), same
+
+
+def test_compiled_edges_end_at_the_node_objects():
+    rng = random.Random(15)
+    shared = 0
+    for c in [random_program(rng) for _ in range(200)] + [CHAIN, NEST]:
+        aut = program_automaton(c)
+        ids = set(map(id, aut.nodes))
+        shared += id(aut.init) in ids and all(
+            id(s) in ids and id(d) in ids for s, _, d in aut.edges)
+    assert shared == 202, shared
+
+
+def test_compile_takes_no_cursor_step(monkeypatch):
+    # compilation reads the location table: the cursor-by-cursor static
+    # map and the semantics' advance are never called
+    def refuse(*args):
+        raise AssertionError("compilation stepped a cursor")
+
+    for name in ("step_image", "action_of", "advance"):
+        monkeypatch.setattr(automaton, name, refuse)
+    monkeypatch.setattr(zipper, "advance", refuse)
+    rng = random.Random(16)
+    nodes = sum(len(program_automaton(random_program(rng)).nodes)
+                for _ in range(200))
+    assert nodes > 400
 
 
 def test_closure_predicates_detect_holes():

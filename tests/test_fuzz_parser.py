@@ -5,7 +5,8 @@ near-miss programs (a random program's text with one token dropped,
 duplicated or swapped with its neighbour), go through every command that
 reads a program.  Each must end in a documented exit code.  Every text that
 parses must print with the same tokens and reach a fixed point under
-printing and re-parsing.
+printing and re-parsing.  Over the same texts, the tokenizer gives the
+reference tokenizer's token texts, offsets and bad-character errors.
 """
 
 import contextlib
@@ -18,7 +19,9 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tokenize
 from randgen import random_program
+from zippersem import ast
 from zippersem.ast import ParseError, parse_program, print_program
 from zippersem.cli import main
 
@@ -27,6 +30,11 @@ PIECES = ["skip", "if", "else", "while", "true", "false", "null", "x", "y1",
           "%", "#", "=", ":", "1", "é", "\t", "\n", "/"]
 SEPARATORS = [" ", "", "\n"]
 TOKEN_RE = re.compile(r":=|[;(){}]|[A-Za-z][A-Za-z0-9_]*")
+
+# line ends and a byte order mark, which the pieces above do not hold
+RETURNS = ["skip;\r\nx := true", "skip;\rx := %", "\ufeffskip",
+           "skip; // note\r\n y := é", "if (a) {\r\n skip\r\n}\r\n#",
+           "x :=\r\n\r\n= true", "\r\n\r\n", "skip\r\n// é\r\n:"]
 
 COMMANDS = ((["parse"], []), (["parse"], ["--ast"]),
             (["run"], ["--max-steps", "200"]), (["compile"], []),
@@ -94,3 +102,33 @@ def test_token_soup_never_crashes(text):
 @given(text=near_miss())
 def test_near_miss_programs_never_crash(text):
     _check(text)
+
+
+def _same_tokens(text):
+    """The parser's tokens and the offsets its errors report are the
+    reference tokenizer's, and so is its bad-character error."""
+    try:
+        expected = tokenize(text)
+    except ParseError as exc:
+        try:
+            ast._tokenize(text)
+        except ParseError as got:
+            assert (got.message, got.line, got.column) == \
+                (exc.message, exc.line, exc.column)
+        else:
+            raise AssertionError(f"no error for {text!r}")
+        return
+    assert ast._tokenize(text) == [token for token, _ in expected]
+    assert [ast._offset(text, k) for k in range(len(expected))] == \
+        [offset for _, offset in expected]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(text=st.one_of(token_soup, near_miss()))
+def test_tokens_and_offsets_match_the_reference(text):
+    _same_tokens(text)
+
+
+def test_tokens_and_offsets_across_line_ends():
+    for text in RETURNS:
+        _same_tokens(text)
