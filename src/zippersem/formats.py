@@ -16,14 +16,16 @@ keys and non-ASCII kept, plus a newline.  Template keys are in sorted
 order, strings go through the C string encoder, and ints and bools are
 written directly.  Every item of a JSON list starts with its own comma
 and line break, and _list frames the list, so a whole text is one join,
-as a DOT text is.  Each edge action's text, JSON or DOT, is put into a
-line template once, so an edge formats only its two ids.  A compiled
-program's node list is written from texts built once each: a subterm's
-escaped text by print_program from its children's, a path's from its
-parent's.  They go into the output's one join by reference, since two
-cursors share each focus and path, so compiling costs time in the
-output's size, not a walk per node; labels and trace rows take the same
-path texts, and text trace rows one text per cursor, by reference.
+as a DOT text is.  Texts are joined by reference; templates hold ids
+only.  Each edge action's text, JSON or DOT, each closed node's member
+ids and each trace rule's and state's text is built once and joined as
+its own piece, so an edge formats only its two ids and a trace row its
+step.  A compiled program's node list is written from texts built once
+each: a subterm's escaped text by print_program from its children's, a
+path's from its parent's.  Two cursors share each focus and path, so
+compiling costs time in the output's size, not a walk per node; labels
+and trace rows take the same path texts, and text trace rows one text
+per cursor.
 """
 
 import json
@@ -111,11 +113,14 @@ def automaton_json_text(aut: Automaton, node_list) -> str:
     node list from the ids of the distinct nodes, as pieces of the text:
     brackets at two spaces, each node's fields at six."""
     ids = _node_ids(aut)
-    # edges share a few actions: one row template each, with the action's
-    # text in place, so an edge formats only its ids
-    rows = {a: _EDGE_HEAD + _action_text(a).replace("%", "%%") + _EDGE_IDS
-            for a in {a for _, a, _ in aut.edges}}
-    edges = [rows[a] % (ids[dest], ids[source]) for source, a, dest in aut.edges]
+    # edges share a few actions: each one's head is built once and joined
+    # by reference, so an edge formats only its ids
+    heads = {a: _EDGE_HEAD + _action_text(a) for a in {a for _, a, _ in aut.edges}}
+    edges = []
+    add = edges.append
+    for source, a, dest in aut.edges:
+        add(heads[a])
+        add(_EDGE_IDS % (ids[dest], ids[source]))
     return "".join(['{\n  "edges": ', *_list(edges, "  "),
                     ',\n  "init": %d,\n  "nodes": ' % ids[aut.init],
                     *node_list(ids), "\n}\n"])
@@ -172,8 +177,9 @@ def closed_automaton_json_text(base: Automaton, closed: Automaton) -> str:
     which every closed node has at least one."""
     members = _member_ids(base)
     return automaton_json_text(closed, lambda ids: _list([
-        "".join((_CLOSED_HEAD % i, _MEMBER_SEP.join(map(str, members(n))),
-                 _CLOSED_TAIL)) for n, i in ids.items()], "  "))
+        p for n, i in ids.items() for p in (
+            _CLOSED_HEAD % i, _MEMBER_SEP.join(map(str, members(n))),
+            _CLOSED_TAIL)], "  "))
 
 
 # a labelled JSON node's head, which carries the separator, and its tail
@@ -267,8 +273,9 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# a DOT node's line: its quoted label goes between these
+# a DOT node's or edge's line: its quoted label goes between these
 _DOT_NODE = "  n%d [label="
+_DOT_EDGE = "  n%d -> n%d [label="
 _DOT_END = "];\n"
 _dot_labelled = partial(_labelled, head=_DOT_NODE, tail=_DOT_END,
                         quote=_quote)
@@ -280,14 +287,19 @@ def automaton_dot(aut: Automaton, node_list=None) -> str:
     nodes, as pieces of the text: by default _labelled's, each node's
     rendering.  The initial node is marked by a point-shaped source."""
     ids = _node_ids(aut)
-    # one line template per action, as for JSON edge rows
-    rows = {a: "  n%d -> n%d [label=" + _quote(render_action(a)).replace(
-        "%", "%%") + _DOT_END for a in {a for _, a, _ in aut.edges}}
-    return "".join([
-        "digraph automaton {\n  rankdir=LR;\n  __init [shape=point];\n",
-        *(node_list or _dot_labelled)(ids),
-        "  __init -> n%d;\n" % ids[aut.init],
-        *[rows[a] % (ids[s], ids[d]) for s, a, d in aut.edges], "}\n"])
+    # each action's label is built once and joined by reference, as in
+    # JSON edge rows, so an edge formats only its ids
+    labels = {a: _quote(render_action(a)) + _DOT_END
+              for a in {a for _, a, _ in aut.edges}}
+    pieces = ["digraph automaton {\n  rankdir=LR;\n  __init [shape=point];\n",
+              *(node_list or _dot_labelled)(ids),
+              "  __init -> n%d;\n" % ids[aut.init]]
+    add = pieces.append
+    for s, a, d in aut.edges:
+        add(_DOT_EDGE % (ids[s], ids[d]))
+        add(labels[a])
+    add("}\n")
+    return "".join(pieces)
 
 
 def numbered_automaton_dot(aut: Automaton) -> str:
@@ -298,20 +310,22 @@ def numbered_automaton_dot(aut: Automaton) -> str:
 def closed_automaton_dot(base: Automaton, closed: Automaton) -> str:
     """DOT digraph of a closed automaton, labelled by member base ids."""
     members = _member_ids(base)
-    line = _DOT_NODE + '"{%s}"' + _DOT_END
     return automaton_dot(closed, lambda ids: [
-        line % (i, ",".join(map(str, members(n)))) for n, i in ids.items()])
+        p for n, i in ids.items() for p in (
+            _DOT_NODE % i + '"{', ",".join(map(str, members(n))),
+            '}"' + _DOT_END)])
 
 
 def render_state(s: dict) -> str:
     return "{" + ", ".join(f"{k}={value_literal(s[k])}" for k in sorted(s)) + "}"
 
 
-# a trace row's head, one per flag, ends in the path's opening quote and
-# its tail starts with the closing one: path texts need no escaping
+# a trace row's head, one per flag, ends in the path's opening quote;
+# path texts need no escaping.  Its rule's piece, built once per rule,
+# starts with the closing quote, and its tail holds the step
 _TRACE_HEAD = {f: ',\n  {\n    "flag": %s,\n    "path": "' % json.dumps(f)
                for f in (True, False)}
-_TRACE_TAIL = '",\n    "rule": %s,\n    "state": %s,\n    "step": %d\n  }'
+_TRACE_STEP = ',\n    "step": %d\n  }'
 
 
 def _state_text(s: dict) -> str:
@@ -327,6 +341,8 @@ def trace_json_text(trace: Trace) -> str:
     """JSON text of a trace, one row per configuration."""
     rows = [(trace.start, "init"), *trace.steps]
     path = path_texts(cfg.cursor.path for cfg, _ in rows)
+    rules = {r: '",\n    "rule": ' + encode_basestring(r) + ',\n    "state": '
+             for r in {r for _, r in rows}}
     state = state_text = None
     pieces = []
     for i, (cfg, rule) in enumerate(rows):
@@ -335,8 +351,8 @@ def trace_json_text(trace: Trace) -> str:
         if cfg.state is not state:
             state = cfg.state
             state_text = _state_text(state)
-        pieces += (_TRACE_HEAD[cur.entering], path[cur.path],
-                   _TRACE_TAIL % (encode_basestring(rule), state_text, i))
+        pieces += (_TRACE_HEAD[cur.entering], path[cur.path], rules[rule],
+                   state_text, _TRACE_STEP % i)
     return "".join([*_list(pieces, ""), "\n"])
 
 

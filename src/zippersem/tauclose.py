@@ -17,13 +17,14 @@ silent edges then completes their strongly connected components (Tarjan,
 SIAM J. Comput. 1972), in reverse topological order, and builds each
 component's closure as it completes, from the closures of its successors
 (Nuutila, Efficient Transitive Closure Computation in Large Digraphs,
-1995); a node without silent edges, or a single node with one, needs no
-search state or sort.  Each component's closure is one closed node, and
-one list indexed by rank gives each node's.  Numbered in sorted order,
-these closure ids key the closed edges, which are deduplicated and sorted
-as integers.  The paper's
-fixpoint definition, a breadth-first search and the rendered sort key
-live in the tests as oracles, which pin this route against them.
+1995).  A node without silent edges, or a single node with one, needs no
+search state or sort; every other component's closure is one set of its
+members and its successors' closures, sorted.  Each component's closure
+is one closed node, and one list indexed by rank gives each node's.
+Numbered in sorted order, these closure ids key the closed edges, which
+are deduplicated and sorted as integers.  The paper's fixpoint
+definition, a breadth-first search and the rendered sort key live in the
+tests as oracles, which pin this route against them.
 
 check_tau_simulation closes its input itself, so the closure it checks
 is the one close_automaton computes, and `zippersem check tausim` closes
@@ -102,32 +103,25 @@ def _closures(succ):
     never enters the search.  The search completes the other components
     in reverse topological order, so when it pops a component, every
     component that one reaches is complete, and its closure is built
-    there and then: its members plus the closures of its successor
-    components.  A single vertex whose one edge leads to another
-    component takes that closure with itself inserted in order.  A
-    component with at most one successor component takes its members
-    plus that closure as they are, since no member can be in a
-    successor's closure without sharing its component.  Otherwise the
-    successors are taken in topological order into a reach set, and one
-    whose first member the set already holds is skipped, since its whole
-    closure is in there too.  Returns (component per vertex, closure of
-    each component as a sorted tuple of vertices, successor components
-    each closure was built from), with components numbered in completion
-    order.
+    there and then.  A single vertex whose one edge leads to another
+    component takes that closure with itself inserted in order.  Any
+    other component takes the set of its members, updated with the
+    closure of each successor component, then sorted.  Returns
+    (component per vertex, closure of each component as a sorted tuple
+    of vertices, successor components each closure was built from), with
+    components numbered in completion order.
     """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n         # -1 while unvisited or on the stack
     stack = []
-    first = []              # each component's first member
     closures = []
     parts = []
     for v in range(n):
         if not succ[v]:     # a sink, complete before the search starts
             index[v] = 0
-            comp[v] = len(first)
-            first.append(v)
+            comp[v] = len(closures)
             closures.append((v,))
             parts.append(())
     counter = 0
@@ -155,11 +149,10 @@ def _closures(succ):
                     low[work[-1][0]] = low[v]
                 if low[v] != index[v]:
                     continue
-                c = len(first)
+                c = len(closures)
                 if stack[-1] == v and len(succ[v]) == 1:
                     stack.pop()
                     comp[v] = c
-                    first.append(v)
                     d = comp[succ[v][0]]
                     if d == c:      # a silent self-loop
                         closures.append((v,))
@@ -170,30 +163,17 @@ def _closures(succ):
                         closures.append(after[:i] + (v,) + after[i:])
                         parts.append((d,))
                     continue
-                members = []
+                reach = set()
                 w = None
                 while w != v:
                     w = stack.pop()
                     comp[w] = c
-                    members.append(w)
-                first.append(members[0])
-                after = {comp[j] for i in members for j in succ[i]} - {c}
-                if len(after) > 1:
-                    reach = set(members)
-                    took = []
-                    for d in sorted(after, reverse=True):
-                        if first[d] not in reach:
-                            reach.update(closures[d])
-                            took.append(d)
-                    members = reach
-                else:
-                    # no member is in the successor's closure, or it
-                    # would share that component: no set is needed
-                    took = list(after)
-                    for d in took:
-                        members += closures[d]
-                closures.append(tuple(sorted(members)))
-                parts.append(took)
+                    reach.add(w)
+                after = {comp[j] for i in reach for j in succ[i]} - {c}
+                for d in after:
+                    reach.update(closures[d])
+                closures.append(tuple(sorted(reach)))
+                parts.append(after)
     return comp, closures, parts
 
 

@@ -121,6 +121,9 @@ def _compiled_automata_are_closed(program_corpus):
         aut = program_automaton(c)
         assert len(aut.nodes) == 2 * subterm_count(c)
         assert step_image_closed(aut) == (True, True)
+        # and no compiled edge is missing from the static map
+        assert sum(len(automaton.step_image(n)) for n in aut.nodes) == \
+            len(aut.edges)
         assert is_regular(aut)
 
 
@@ -160,6 +163,26 @@ def test_closure_criterion_catches_an_extra_cond_edge(program_corpus,
     monkeypatch.setattr(automaton, "step_image", extra)
     c = parse_program("if (a) { x := true } else { skip }")
     assert step_image_closed(program_automaton(c)) == (True, False)
+    with pytest.raises(AssertionError):
+        _compiled_automata_are_closed(program_corpus)
+
+
+def test_closure_criterion_catches_a_dropped_cond_edge(program_corpus,
+                                                      monkeypatch):
+    # a static map in which an entering conditional lists only its
+    # then-branch: every successor it lists is a node with its edge, so
+    # only the edge count sees the else-branch it drops
+    original = automaton.step_image
+
+    def dropped(cur):
+        image = original(cur)
+        if cur.entering and isinstance(cur.focus, Cond):
+            del image[1:]
+        return image
+
+    monkeypatch.setattr(automaton, "step_image", dropped)
+    c = parse_program("if (a) { x := true } else { skip }")
+    assert step_image_closed(program_automaton(c)) == (True, True)
     with pytest.raises(AssertionError):
         _compiled_automata_are_closed(program_corpus)
 

@@ -201,6 +201,21 @@ def test_closed_json_members_are_base_ids(silent_fork):
     assert all(e["action"]["kind"] == "assign" for e in data["edges"])
 
 
+def test_closed_json_copies_its_output_once():
+    # edge rows join their action's head and member lists their ids by
+    # reference; rows that copied either would take the peak past the
+    # bound
+    aut = program_automaton(NEST)
+    closed = close_automaton(aut)
+    tracemalloc.start()
+    try:
+        text = closed_automaton_json_text(aut, closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * sys.getsizeof(text)
+
+
 def test_load_automaton_accepts_bare_and_object_nodes(silent_fork):
     bare = {"nodes": [1, 2], "edges": [], "init": 1}
     assert load_automaton(bare).nodes == (1, 2)
@@ -285,9 +300,30 @@ def test_dot_output_shape():
     assert dot.count("->") == len(aut.edges) + 1  # plus the init marker
     assert 'n0 [label="@top ↓"];' in dot
     assert '"τ"' in dot and '"x:=true"' in dot
-    # an action's text goes into its edge template as it is
+    # an action's label is joined as it is, never formatted
     dot = automaton_dot(Automaton((0, 1), ((0, Assign("a%d", TRUE), 1),), 0))
     assert '  n0 -> n1 [label="a%d:=true"];\n' in dot
+
+
+def test_percent_signs_in_action_texts():
+    # library-built names with percent signs, which no writer may treat
+    # as a format: JSON and DOT write them as they are
+    acts = [Assign("a%d", TRUE), Assign('q"%s', NULL), Assign("p%%", FALSE)]
+    aut = Automaton((0, 1, 2), tuple(
+        (i, a, (i + 1) % 3) for i, a in enumerate(acts)), 0)
+    for text in (generic_automaton_json_text(aut),
+                 closed_automaton_json_text(aut, close_automaton(aut))):
+        assert text == _canonical(text)
+        assert [e["action"] for e in json.loads(text)["edges"]] == [
+            {"kind": "assign", "val": "true", "var": "a%d"},
+            {"kind": "assign", "val": "null", "var": 'q"%s'},
+            {"kind": "assign", "val": "false", "var": "p%%"}]
+    lines = ['  n0 -> n1 [label="a%d:=true"];',
+             '  n1 -> n2 [label="q\\"%s:=null"];',
+             '  n2 -> n0 [label="p%%:=false"];']
+    assert automaton_dot(aut).splitlines()[-4:-1] == lines
+    closed = closed_automaton_dot(aut, close_automaton(aut))
+    assert closed.splitlines()[-4:-1] == lines
 
 
 def test_dot_copies_its_output_once():

@@ -202,6 +202,32 @@ def test_closure_shortcuts_agree_with_the_oracles():
             closure_bfs(m, v).members == expected[v]
 
 
+def test_closures_take_every_successor_even_one_inside_another():
+    # a successor component whose closure is inside another's, from a
+    # single vertex and from a 2-cycle: each component takes all of its
+    # successor components, and the closed edges are those of the
+    # candidate product
+    succ = [
+        [1, 2],     # 0: v, to a and to b, whose closure is inside a's
+        [2],        # 1: a, one edge to b
+        [],         # 2: b, a sink
+        [4, 0],     # 3: a 2-cycle with 4, to v
+        [3, 1],     # 4: and to a, whose closure is inside v's
+    ]
+    comp, closures, parts = tauclose._closures(succ)
+    for v, ws in ((0, (1, 2)), (3, (0, 1))):
+        assert set(parts[comp[v]]) == {comp[w] for w in ws}
+        assert all(d < comp[v] for d in parts[comp[v]])
+    silent = tuple((v, SILENT, w) for v, ws in enumerate(succ) for w in ws)
+    m = Automaton(tuple(range(len(succ))), silent + (
+        (2, ALPHA, 3), (1, BETA, 2), (0, GAMMA, 0), (4, ALPHA, 2)), 0)
+    closed = close_automaton(m)
+    for v, ns in zip(m.nodes, closed.nodes):
+        assert ns.members == closures[comp[v]] == tau_closure(m, v).members \
+            == closure_bfs(m, v).members
+    assert set(closed_shape(closed)[1]) == _candidate_product_filter(m)
+
+
 def test_closures_of_sparse_silent_graphs_agree_with_the_oracles():
     # mostly sinks, self-loops and single silent edges, in both directions
     # of the rank order, so that every shortcut meets every other
@@ -256,20 +282,26 @@ def test_closed_edges_match_the_candidate_product_filter():
     automata += [random_silent_automaton(shaped, max_nodes=8)
                  for _ in range(60)]
     for m in automata:
-        closures = {n: tau_closure(m, n).members for n in set(m.nodes)}
-        dest_closure = {d: tau_closure(m, d).members for _, _, d in m.edges}
-        actions = {a for _, a, _ in m.edges if a != SILENT}
-        kept = set()
-        for n1 in set(m.nodes):
-            src = closures[n1]
-            for a in actions:
-                for n2 in set(m.nodes):
-                    dst = closures[n2]
-                    if any(ea == a and s in src and dest_closure[d] == dst
-                           for s, ea, d in m.edges):
-                        kept.add((src, a, dst))
         got = set(closed_shape(close_automaton(_closable(m)))[1])
-        assert got == kept
+        assert got == _candidate_product_filter(m)
+
+
+def _candidate_product_filter(m):
+    """Every (closure, action, closure) candidate that a witness edge
+    passes the definition's filter for."""
+    closures = {n: tau_closure(m, n).members for n in set(m.nodes)}
+    dest_closure = {d: tau_closure(m, d).members for _, _, d in m.edges}
+    actions = {a for _, a, _ in m.edges if a != SILENT}
+    kept = set()
+    for n1 in set(m.nodes):
+        src = closures[n1]
+        for a in actions:
+            for n2 in set(m.nodes):
+                dst = closures[n2]
+                if any(ea == a and s in src and dest_closure[d] == dst
+                       for s, ea, d in m.edges):
+                    kept.add((src, a, dst))
+    return kept
 
 
 def test_close_keeps_nothing_on_its_input():
